@@ -5,7 +5,7 @@ nested-rectangle chain solver), an exhaustive oracle for ground truth, a
 benchmark harness, and a command line front end.
 """
 
-from .bench import ALGORITHMS, GenSpec, generate, run_suite
+from .bench import SOLVERS, GenSpec, generate, run_suite
 from .chain_solver import (
     ChainNode,
     DominanceMaxIndex,
@@ -47,7 +47,6 @@ from .oracle import MAX_ORACLE_LEN, brute_force_lcps
 __version__ = "0.1.0"
 
 __all__ = [
-    "ALGORITHMS",
     "CapacityExceeded",
     "ChainNode",
     "CpsResult",
@@ -65,6 +64,7 @@ __all__ = [
     "MatchSet",
     "Point4",
     "Rect",
+    "SOLVERS",
     "SigmaMatchSet",
     "brute_force_lcps",
     "build_match_set",

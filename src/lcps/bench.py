@@ -6,19 +6,28 @@ import random
 import statistics
 import time
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Iterable
 
 from .chain_solver import geometric_lcps
 from .core import CapacityExceeded, InputTooLarge
-from .dp_solver import dp_lcps
-from .match_index import build_occurrence_lists
+from .dp_solver import DEFAULT_CELL_CAP, dp_lcps
+from .geometry import DEFAULT_RECT_CAP
+from .match_index import DEFAULT_MATCH_CAP, build_occurrence_lists, match_count
 from .oracle import brute_force_lcps
 
-ALGORITHMS = {
-    "dp": dp_lcps,
-    "geom": geometric_lcps,
-    "oracle": brute_force_lcps,
+# Every solver by name, called as SOLVERS[name](caps, x, y); caps is any
+# object with max_dp_cells, max_rects and max_matches attributes.
+SOLVERS = {
+    "dp": lambda caps, x, y: dp_lcps(x, y, max_cells=caps.max_dp_cells),
+    "geom": lambda caps, x, y: geometric_lcps(
+        x, y, max_rects=caps.max_rects, max_matches=caps.max_matches),
+    "oracle": lambda caps, x, y: brute_force_lcps(x, y),
 }
+
+DEFAULT_CAPS = SimpleNamespace(
+    max_dp_cells=DEFAULT_CELL_CAP, max_rects=DEFAULT_RECT_CAP, max_matches=DEFAULT_MATCH_CAP
+)
 
 
 @dataclass(frozen=True)
@@ -51,11 +60,6 @@ def generate(spec: GenSpec) -> tuple[bytes, bytes]:
     return x, y
 
 
-def count_matches(x: bytes, y: bytes) -> int:
-    occ = build_occurrence_lists(x, y)
-    return sum(len(xs) * len(ys) for xs, ys in occ.values())
-
-
 def run_suite(
     specs: Iterable[GenSpec], algos: Iterable[str], repetitions: int = 5
 ) -> list[dict]:
@@ -70,10 +74,10 @@ def run_suite(
     rows = []
     for spec in specs:
         x, y = generate(spec)
-        r = count_matches(x, y)
+        r = match_count(build_occurrence_lists(x, y))
         lengths = {}
         for algo in algos:
-            fn = ALGORITHMS[algo]
+            fn = SOLVERS[algo]
             row = {
                 "n": spec.n,
                 "m": spec.m,
@@ -86,7 +90,7 @@ def run_suite(
                 times = []
                 for _ in range(repetitions):
                     t0 = time.perf_counter()
-                    result = fn(x, y)
+                    result = fn(DEFAULT_CAPS, x, y)
                     times.append((time.perf_counter() - t0) * 1000.0)
                 row.update(
                     length=result.length,

@@ -19,7 +19,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Any, Iterable, Optional
 
-from .core import EMPTY_RESULT, CpsResult, assemble_result
+from .core import EMPTY_RESULT, CpsResult, InvalidWitness, assemble_result, validate_witness
 from .geometry import DEFAULT_RECT_CAP, Point4, enumerate_rectangles, rect_to_point
 from .match_index import DEFAULT_MATCH_CAP, build_match_set
 
@@ -201,6 +201,7 @@ def geometric_lcps(
 
     The chain is walked outward-in: each weight-2 node contributes the symbol
     at both ends, a trailing weight-1 node contributes the center character.
+    Raises InvalidWitness if the assembled result does not embed into x and y.
     """
     ms = build_match_set(x, y, max_matches)
     rects = enumerate_rectangles(ms, max_rects)
@@ -215,10 +216,9 @@ def geometric_lcps(
         if r.weight == 2:
             pairs.append((r.sigma, r.lower.i, r.upper.i, r.lower.j, r.upper.j))
         else:
-            assert node.successor is None, "degenerate rectangle must end the chain"
             center = (r.sigma, r.lower.i, r.lower.j)
         node = node.successor
     result = assemble_result(pairs, center)
-    assert all(b > a for a, b in zip(result.x_indices, result.x_indices[1:]))
-    assert all(b > a for a, b in zip(result.y_indices, result.y_indices[1:]))
+    if not validate_witness(result, x, y):
+        raise InvalidWitness(f"chain walk produced an invalid witness {result}")
     return result

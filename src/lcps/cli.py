@@ -4,7 +4,8 @@ Inputs are byte strings given as literals (-x/-y) or files (--x-file/--y-file),
 optionally parsed as FASTA. All indices printed anywhere are 1-based.
 
 Exit codes: 0 success, 2 usage error, 3 I/O error, 4 capacity exhausted on
-every applicable algorithm, 5 solver disagreement from the compare command.
+every applicable algorithm, 5 solver disagreement (or an invalid witness)
+from the compare command.
 """
 
 from __future__ import annotations
@@ -13,16 +14,14 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 
-from .bench import ALGORITHMS, GenSpec, run_suite
-from .chain_solver import geometric_lcps
+from .bench import SOLVERS, GenSpec, run_suite
 from .core import CapacityExceeded, InputTooLarge, validate_witness
-from .dp_solver import DEFAULT_CELL_CAP, dp_lcps
+from .dp_solver import DEFAULT_CELL_CAP
 from .geometry import DEFAULT_RECT_CAP
-from .match_index import DEFAULT_MATCH_CAP, build_occurrence_lists
-from .oracle import MAX_ORACLE_LEN, brute_force_lcps
+from .match_index import DEFAULT_MATCH_CAP, build_occurrence_lists, match_count
+from .oracle import MAX_ORACLE_LEN
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -37,26 +36,6 @@ class UsageError(Exception):
 
 class IoError(Exception):
     pass
-
-
-@dataclass
-class RunConfig:
-    command: str
-    algo: str = "auto"
-    fmt: str = "text"
-    x_literal: str | None = None
-    y_literal: str | None = None
-    x_file: str | None = None
-    y_file: str | None = None
-    fasta: bool = False
-    max_dp_cells: int = DEFAULT_CELL_CAP
-    max_rects: int = DEFAULT_RECT_CAP
-    max_matches: int = DEFAULT_MATCH_CAP
-    n_list: tuple[int, ...] = ()
-    s_list: tuple[int, ...] = ()
-    seed: int = 0
-    reps: int = 5
-    bench_algos: tuple[str, ...] = ("dp", "geom")
 
 
 def _add_input_flags(p: argparse.ArgumentParser) -> None:
@@ -81,6 +60,10 @@ def _int_list(text: str) -> tuple[int, ...]:
     if not text:
         return ()
     return tuple(int(part) for part in text.split(","))
+
+
+def _name_list(text: str) -> tuple[str, ...]:
+    return tuple(part.strip() for part in text.split(",") if part.strip())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -110,44 +93,30 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated alphabet sizes (default 2)")
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--reps", type=int, default=5, help="timing repetitions per row")
-    bench.add_argument("--algo", default="dp,geom",
+    bench.add_argument("--algo", type=_name_list, default="dp,geom",
                        help="comma-separated algorithms to time (default dp,geom)")
     return parser
 
 
-def parse_args(argv: list[str]) -> RunConfig:
-    ns = build_parser().parse_args(argv)
-    cfg = RunConfig(command=ns.command)
-    if ns.command == "bench":
-        cfg.n_list = ns.n_list
-        cfg.s_list = ns.s_list if ns.s_list else (2,)
-        cfg.seed = ns.seed
-        cfg.reps = ns.reps
-        cfg.bench_algos = tuple(part.strip() for part in ns.algo.split(",") if part.strip())
-        unknown = [a for a in cfg.bench_algos if a not in ALGORITHMS]
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    args = build_parser().parse_args(argv)
+    if args.command == "bench":
+        args.s_list = args.s_list or (2,)
+        unknown = [a for a in args.algo if a not in SOLVERS]
         if unknown:
             raise UsageError(f"unknown bench algorithm(s): {', '.join(unknown)}")
-        if cfg.reps < 1:
+        if args.reps < 1:
             raise UsageError("--reps must be at least 1")
-        return cfg
+        return args
 
-    cfg.x_literal, cfg.y_literal = ns.x_literal, ns.y_literal
-    cfg.x_file, cfg.y_file = ns.x_file, ns.y_file
-    cfg.fasta = ns.fasta
-    if ns.command in ("solve", "compare"):
-        cfg.max_dp_cells = ns.max_dp_cells
-        cfg.max_rects = ns.max_rects
-        cfg.max_matches = ns.max_matches
-        if min(cfg.max_dp_cells, cfg.max_rects, cfg.max_matches) < 1:
+    if args.command in ("solve", "compare"):
+        if min(args.max_dp_cells, args.max_rects, args.max_matches) < 1:
             raise UsageError("caps must be at least 1")
-    if ns.command == "solve":
-        cfg.algo = ns.algo
-        cfg.fmt = ns.fmt
-    for name, literal, path in (("x", cfg.x_literal, cfg.x_file),
-                                ("y", cfg.y_literal, cfg.y_file)):
+    for name, literal, path in (("x", args.x_literal, args.x_file),
+                                ("y", args.y_literal, args.y_file)):
         if (literal is None) == (path is None):
             raise UsageError(f"give exactly one of -{name} or --{name}-file")
-    return cfg
+    return args
 
 
 def parse_fasta(data: bytes) -> bytes:
@@ -188,62 +157,35 @@ def read_input(source: str, *, is_file: bool, fasta: bool) -> bytes:
     return data
 
 
-def _load_inputs(cfg: RunConfig) -> tuple[bytes, bytes]:
-    x = read_input(cfg.x_literal if cfg.x_file is None else cfg.x_file,
-                   is_file=cfg.x_file is not None, fasta=cfg.fasta)
-    y = read_input(cfg.y_literal if cfg.y_file is None else cfg.y_file,
-                   is_file=cfg.y_file is not None, fasta=cfg.fasta)
+def _load_inputs(args: argparse.Namespace) -> tuple[bytes, bytes]:
+    x = read_input(args.x_literal if args.x_file is None else args.x_file,
+                   is_file=args.x_file is not None, fasta=args.fasta)
+    y = read_input(args.y_literal if args.y_file is None else args.y_file,
+                   is_file=args.y_file is not None, fasta=args.fasta)
     return x, y
 
 
-def _solve_dp(cfg, x, y):
-    return dp_lcps(x, y, max_cells=cfg.max_dp_cells)
+# auto tries geom first and falls back to dp when geom declines.
+AUTO_ORDER = ("geom", "dp")
 
 
-def _solve_geom(cfg, x, y):
-    return geometric_lcps(x, y, max_rects=cfg.max_rects, max_matches=cfg.max_matches)
+def solve_command(args: argparse.Namespace) -> int:
+    x, y = _load_inputs(args)
+    r_total = match_count(build_occurrence_lists(x, y))
 
-
-def _solve_oracle(cfg, x, y):
-    return brute_force_lcps(x, y)
-
-
-SOLVERS = {"dp": _solve_dp, "geom": _solve_geom, "oracle": _solve_oracle}
-
-
-def _auto_order(cfg: RunConfig, x: bytes, y: bytes) -> list[str]:
-    """Prefer the DP exactly when it fits its cap and the rectangle estimate
-    is the larger of the two workloads; fall back to the other solver."""
-    occ = build_occurrence_lists(x, y)
-    est_rects = sum((len(xs) * len(ys)) ** 2 for xs, ys in occ.values())
-    dp_cells = len(x) * len(x) * len(y) * len(y)
-    if dp_cells <= cfg.max_dp_cells and est_rects > dp_cells:
-        return ["dp", "geom"]
-    return ["geom", "dp"]
-
-
-def solve_command(cfg: RunConfig) -> int:
-    x, y = _load_inputs(cfg)
-    occ = build_occurrence_lists(x, y)
-    r_total = sum(len(xs) * len(ys) for xs, ys in occ.values())
-
-    order = [cfg.algo] if cfg.algo != "auto" else _auto_order(cfg, x, y)
-    result = None
-    algo_used = None
+    order = AUTO_ORDER if args.algo == "auto" else (args.algo,)
     t0 = time.perf_counter()
-    last_exc: Exception | None = None
-    for name in order:
+    for algo_used in order:
         try:
-            result = SOLVERS[name](cfg, x, y)
-            algo_used = name
+            result = SOLVERS[algo_used](args, x, y)
             break
         except CapacityExceeded as exc:
             last_exc = exc
+    else:
+        raise last_exc
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
-    if result is None:
-        raise last_exc if last_exc is not None else CapacityExceeded("no algorithm ran")
 
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         print(json.dumps({
             "x_len": len(x),
             "y_len": len(y),
@@ -262,45 +204,55 @@ def solve_command(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def compare_command(cfg: RunConfig) -> int:
-    x, y = _load_inputs(cfg)
+def compare_command(args: argparse.Namespace) -> int:
+    """Run every applicable solver; a solver that declines is reported and the
+    rest are compared. Every solver declining is a capacity error."""
+    x, y = _load_inputs(args)
     algos = ["dp", "geom"] + (["oracle"] if len(x) <= MAX_ORACLE_LEN else [])
     lengths = {}
     all_valid = True
+    declined: Exception | None = None
     for name in algos:
         t0 = time.perf_counter()
-        result = SOLVERS[name](cfg, x, y)
+        try:
+            result = SOLVERS[name](args, x, y)
+        except (CapacityExceeded, InputTooLarge) as exc:
+            print(f"{name}: declined ({type(exc).__name__}: {exc})")
+            declined = exc
+            continue
         ms = (time.perf_counter() - t0) * 1000.0
         valid = validate_witness(result, x, y)
         all_valid = all_valid and valid
         lengths[name] = result.length
         print(f"{name}: length={result.length} "
               f"palindrome={result.z.decode('latin-1')} valid={valid} ms={ms:.3f}")
+    if not lengths:
+        raise declined
     if len(set(lengths.values())) > 1 or not all_valid:
         print(f"disagreement: {lengths}", file=sys.stderr)
         return EXIT_MISMATCH
     return EXIT_OK
 
 
-def matches_command(cfg: RunConfig) -> int:
-    x, y = _load_inputs(cfg)
+def matches_command(args: argparse.Namespace) -> int:
+    x, y = _load_inputs(args)
     occ = build_occurrence_lists(x, y)
     per_sigma = {
         chr(ch): len(xs) * len(ys)
         for ch, (xs, ys) in occ.items()
         if xs and ys
     }
-    print(json.dumps({"r": sum(per_sigma.values()), "per_sigma": per_sigma}))
+    print(json.dumps({"r": match_count(occ), "per_sigma": per_sigma}))
     return EXIT_OK
 
 
-def bench_command(cfg: RunConfig) -> int:
+def bench_command(args: argparse.Namespace) -> int:
     specs = [
-        GenSpec(n, n, s, cfg.seed)
-        for n in cfg.n_list
-        for s in cfg.s_list
+        GenSpec(n, n, s, args.seed)
+        for n in args.n_list
+        for s in args.s_list
     ]
-    for row in run_suite(specs, cfg.bench_algos, cfg.reps):
+    for row in run_suite(specs, args.algo, args.reps):
         print(json.dumps(row))
     return EXIT_OK
 
@@ -317,14 +269,14 @@ def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        cfg = parse_args(argv)
+        args = parse_args(argv)
     except SystemExit as exc:  # argparse reports usage errors itself
         return int(exc.code or 0)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        return COMMANDS[cfg.command](cfg)
+        return COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -56,15 +56,18 @@ class DpTable:
 def fill_table(x: bytes, y: bytes, max_cells: int = DEFAULT_CELL_CAP) -> DpTable:
     """Fill the whole table bottom-up, shorter substring pairs first.
 
-    Raises CapacityExceeded when n*n*m*m exceeds max_cells; at that point the
-    geometric solver (or the oracle, for tiny inputs) is the way out.
+    Raises CapacityExceeded when n*n*m*m exceeds max_cells, or when the
+    shorter input reaches 2**16 so a cell value could overflow uint16; at
+    that point the geometric solver (or the oracle, for tiny inputs) is the
+    way out.
     """
     n, m = len(x), len(y)
     if n * n * m * m > max_cells:
         raise CapacityExceeded(
             f"table needs {n * n * m * m} cells, cap is {max_cells}"
         )
-    assert min(n, m) < 2**16, "cell values must fit in uint16"
+    if min(n, m) >= 2**16:
+        raise CapacityExceeded(f"cell values up to {min(n, m)} do not fit in uint16")
     planes = np.zeros((n + 1, n + 1, m + 1, m + 1), dtype=np.uint16)
     if n == 0 or m == 0:
         planes.setflags(write=False)

@@ -60,6 +60,11 @@ def build_occurrence_lists(x: bytes, y: bytes) -> dict[int, tuple[tuple[int, ...
     return {ch: (tuple(xs), tuple(ys)) for ch, (xs, ys) in sorted(occ.items())}
 
 
+def match_count(occ: dict[int, tuple[tuple[int, ...], tuple[int, ...]]]) -> int:
+    """Total number of matches over occurrence lists from build_occurrence_lists."""
+    return sum(len(xs) * len(ys) for xs, ys in occ.values())
+
+
 def build_match_set(x: bytes, y: bytes, max_matches: int = DEFAULT_MATCH_CAP) -> MatchSet:
     """Group all matches by symbol, aborting before materialization if the count is huge.
 
@@ -68,7 +73,7 @@ def build_match_set(x: bytes, y: bytes, max_matches: int = DEFAULT_MATCH_CAP) ->
     inputs (e.g. two long runs of the same character).
     """
     occ = build_occurrence_lists(x, y)
-    total = sum(len(xs) * len(ys) for xs, ys in occ.values())
+    total = match_count(occ)
     if total > max_matches:
         raise CapacityExceeded(f"{total} matches exceed the cap of {max_matches}")
     per = tuple(

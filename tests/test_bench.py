@@ -2,6 +2,7 @@ import pytest
 
 import lcps.bench as bench
 from lcps import GenSpec, generate, run_suite
+from lcps.match_index import build_occurrence_lists, match_count
 
 
 def test_generate_empty():
@@ -11,7 +12,7 @@ def test_generate_empty():
 def test_generate_unary_alphabet():
     x, y = generate(GenSpec(3, 3, 1, 99))
     assert (x, y) == (b"aaa", b"aaa")
-    assert bench.count_matches(x, y) == 9
+    assert match_count(build_occurrence_lists(x, y)) == 9
 
 
 def test_generate_is_deterministic():
@@ -65,7 +66,7 @@ def test_run_suite_oracle_guard_status():
 def test_run_suite_detects_solver_disagreement(monkeypatch):
     from lcps.core import CpsResult
 
-    monkeypatch.setitem(bench.ALGORITHMS, "geom",
-                        lambda x, y: CpsResult(99, b"", (), ()))
+    monkeypatch.setitem(bench.SOLVERS, "geom",
+                        lambda caps, x, y: CpsResult(99, b"", (), ()))
     with pytest.raises(RuntimeError):
         bench.run_suite([GenSpec(6, 6, 2, 5)], ["dp", "geom"], repetitions=1)

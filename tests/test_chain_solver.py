@@ -2,9 +2,12 @@ import random
 
 import pytest
 
+import lcps.chain_solver as chain_solver
 from conftest import random_pair
 from lcps import (
+    CpsResult,
     DominanceMaxIndex,
+    InvalidWitness,
     Match,
     Rect,
     brute_force_lcps,
@@ -180,6 +183,13 @@ def test_geometric_known_instances():
     assert r.z == b"aa"
     assert validate_witness(r, b"aab", b"aba")
     assert geometric_lcps(b"abcba", b"bacab").length == 3
+
+
+def test_geometric_rejects_invalid_witness(monkeypatch):
+    monkeypatch.setattr(chain_solver, "assemble_result",
+                        lambda pairs, center=None: CpsResult(2, b"ab", (1, 2), (1, 2)))
+    with pytest.raises(InvalidWitness):
+        geometric_lcps(b"aab", b"aba")
 
 
 def test_geometric_agrees_with_dp_and_oracle():

@@ -3,6 +3,7 @@ import json
 import pytest
 
 import lcps.cli as cli
+from lcps.bench import GenSpec, generate
 from lcps.core import CpsResult
 
 
@@ -169,3 +170,37 @@ def test_bench_empty_n_list(capsys):
 def test_bench_unknown_algo_is_usage_error(capsys):
     code, _, _ = run(capsys, "bench", "--n-list", "4", "--algo", "nope")
     assert code == 2
+
+
+def test_compare_reports_declined_solver(capsys):
+    code, out, _ = run(capsys, "compare", "-x", "aab", "-y", "aba", "--max-dp-cells", "1")
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines[0] == "dp: declined (CapacityExceeded: table needs 81 cells, cap is 1)"
+    assert [line.split(":")[0] for line in lines[1:]] == ["geom", "oracle"]
+    assert all("length=2" in line and "valid=True" in line for line in lines[1:])
+
+
+def test_compare_every_solver_declined_is_exit_4(capsys):
+    x = "ab" * 11  # past the oracle's length limit, so only dp and geom apply
+    code, out, err = run(capsys, "compare", "-x", x, "-y", "ba",
+                         "--max-dp-cells", "1", "--max-rects", "1")
+    assert code == 4
+    assert [line.split(":")[0] for line in out.strip().splitlines()] == ["dp", "geom"]
+    assert all("declined (CapacityExceeded: " in line for line in out.strip().splitlines())
+    assert err
+
+
+def test_match_count_agrees_across_commands(capsys):
+    x, y = generate(GenSpec(12, 12, 3, 7))
+    lits = ["-x", x.decode("latin-1"), "-y", y.decode("latin-1")]
+    # the solve JSON count is not capped by --max-matches when dp answers
+    _, out, _ = run(capsys, "solve", *lits, "--algo", "dp", "--format", "json",
+                    "--max-matches", "1")
+    solved = json.loads(out)["matches"]
+    _, out, _ = run(capsys, "matches", *lits)
+    counted = json.loads(out)["r"]
+    _, out, _ = run(capsys, "bench", "--n-list", "12", "--s-list", "3", "--seed", "7",
+                    "--reps", "1", "--algo", "geom")
+    benched = json.loads(out)["r"]
+    assert solved == counted == benched > 1

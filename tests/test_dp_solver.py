@@ -1,9 +1,14 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 
 from conftest import byte_seqs, random_pair
+import lcps
 from lcps import CapacityExceeded, brute_force_lcps, dp_lcps, fill_table, validate_witness
 
 
@@ -60,6 +65,21 @@ def test_capacity_cap():
     with pytest.raises(CapacityExceeded):
         dp_lcps(b"abcd", b"abcd", max_cells=255)
     assert fill_table(b"abcd", b"abcd", max_cells=256).root == 1
+
+
+def test_uint16_guard_survives_optimize_flag():
+    # python -O strips asserts; the guard must raise before any allocation
+    code = (
+        "from lcps import CapacityExceeded, fill_table\n"
+        "try:\n"
+        "    fill_table(b'a' * 65536, b'a' * 65536, max_cells=2**70)\n"
+        "except CapacityExceeded:\n"
+        "    print('declined')\n"
+    )
+    src = str(Path(lcps.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                          text=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
+    assert proc.stdout == "declined\n", proc.stderr
 
 
 def test_root_matches_oracle_on_random_instances():
