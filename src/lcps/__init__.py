@@ -35,7 +35,6 @@ from .geometry import (
     rect_to_point,
 )
 from .match_index import (
-    DEFAULT_MATCH_CAP,
     Match,
     MatchSet,
     SigmaMatchSet,
@@ -51,7 +50,6 @@ __all__ = [
     "ChainNode",
     "CpsResult",
     "DEFAULT_CELL_CAP",
-    "DEFAULT_MATCH_CAP",
     "DEFAULT_RECT_CAP",
     "DominanceMaxIndex",
     "DpTable",

@@ -13,21 +13,18 @@ from .chain_solver import geometric_lcps
 from .core import CapacityExceeded, InputTooLarge
 from .dp_solver import DEFAULT_CELL_CAP, dp_lcps
 from .geometry import DEFAULT_RECT_CAP
-from .match_index import DEFAULT_MATCH_CAP, build_occurrence_lists, match_count
+from .match_index import build_occurrence_lists, match_count
 from .oracle import brute_force_lcps
 
 # Every solver by name, called as SOLVERS[name](caps, x, y); caps is any
-# object with max_dp_cells, max_rects and max_matches attributes.
+# object with max_dp_cells and max_rects attributes.
 SOLVERS = {
     "dp": lambda caps, x, y: dp_lcps(x, y, max_cells=caps.max_dp_cells),
-    "geom": lambda caps, x, y: geometric_lcps(
-        x, y, max_rects=caps.max_rects, max_matches=caps.max_matches),
+    "geom": lambda caps, x, y: geometric_lcps(x, y, max_rects=caps.max_rects),
     "oracle": lambda caps, x, y: brute_force_lcps(x, y),
 }
 
-DEFAULT_CAPS = SimpleNamespace(
-    max_dp_cells=DEFAULT_CELL_CAP, max_rects=DEFAULT_RECT_CAP, max_matches=DEFAULT_MATCH_CAP
-)
+DEFAULT_CAPS = SimpleNamespace(max_dp_cells=DEFAULT_CELL_CAP, max_rects=DEFAULT_RECT_CAP)
 
 
 @dataclass(frozen=True)

@@ -17,11 +17,12 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Any, Iterable, Optional
 
 from .core import EMPTY_RESULT, CpsResult, InvalidWitness, assemble_result, validate_witness
 from .geometry import DEFAULT_RECT_CAP, Point4, enumerate_rectangles, rect_to_point
-from .match_index import DEFAULT_MATCH_CAP, build_match_set
+from .match_index import build_match_set
 
 
 @dataclass(frozen=True, eq=False)
@@ -33,69 +34,6 @@ class ChainNode:
     successor: Optional["ChainNode"] = None
 
 
-class _MaxBit:
-    """Prefix-maximum tree over the descending ranks of one coordinate universe."""
-
-    __slots__ = ("vals", "size", "val", "pay")
-
-    def __init__(self, cs: list):
-        self.vals = sorted(set(cs))
-        self.size = len(self.vals)
-        self.val = [0] * (self.size + 1)
-        self.pay: list = [None] * (self.size + 1)
-
-    def update(self, c, value, payload):
-        r = self.size - bisect_left(self.vals, c)
-        while r <= self.size:
-            if value > self.val[r]:
-                self.val[r] = value
-                self.pay[r] = payload
-            r += r & -r
-
-    def query(self, c):
-        # max over stored entries with coordinate strictly greater than c
-        r = self.size - bisect_right(self.vals, c)
-        best, pay = 0, None
-        while r > 0:
-            if self.val[r] > best:
-                best, pay = self.val[r], self.pay[r]
-            r -= r & -r
-        return best, pay
-
-
-class _MidLevel:
-    """Tree over the b coordinate whose nodes hold c-coordinate maximum trees."""
-
-    __slots__ = ("bvals", "size", "children")
-
-    def __init__(self, bcs: list):
-        self.bvals = sorted({b for b, _ in bcs})
-        self.size = len(self.bvals)
-        per: list[list] = [[] for _ in range(self.size + 1)]
-        for b, c in bcs:
-            h = self.size - bisect_left(self.bvals, b)
-            while h <= self.size:
-                per[h].append(c)
-                h += h & -h
-        self.children = [None] + [_MaxBit(cs) for cs in per[1:]]
-
-    def update(self, b, c, value, payload):
-        h = self.size - bisect_left(self.bvals, b)
-        while h <= self.size:
-            self.children[h].update(c, value, payload)
-            h += h & -h
-
-    def query(self, b, c):
-        h = self.size - bisect_right(self.bvals, b)
-        best, pay = 0, None
-        while h > 0:
-            v, p = self.children[h].query(c)
-            if v > best:
-                best, pay = v, p
-            h -= h & -h
-        return best, pay
-
-
 class DominanceMaxIndex:
     """Strict 3-D dominance maximum over a fixed universe of insertable keys.
 
@@ -103,66 +41,94 @@ class DominanceMaxIndex:
     compresses each level's coordinates up front. Queries may use arbitrary
     coordinates. Values at a key only grow, and both operations cost
     O(log^3) of the universe size.
+
+    Layout: ``_avals`` holds the distinct a values; a-tree node g holds the
+    distinct b values ``_bvals[g]`` of the keys it covers; and (g, h) holds
+    one leaf ``(cvals, val, pay)``, a prefix-maximum tree over the distinct
+    c values it covers.
     """
 
     def __init__(self, keys: Iterable[tuple[int, int, int]]):
         keys = list(keys)
         self._declared = set(keys)
-        self._avals = sorted({a for a, _, _ in keys})
-        u1 = len(self._avals)
-        per: list[list] = [[] for _ in range(u1 + 1)]
+        self._avals = avals = sorted({a for a, _, _ in keys})
+        u1 = len(avals)
+        per_a: list[list] = [[] for _ in range(u1 + 1)]
         for a, b, c in keys:
-            g = u1 - bisect_left(self._avals, a)
+            g = u1 - bisect_left(avals, a)
             while g <= u1:
-                per[g].append((b, c))
+                per_a[g].append((b, c))
                 g += g & -g
-        self._u1 = u1
-        self._nodes = [None] + [_MidLevel(bcs) for bcs in per[1:]]
+        self._bvals: list[list] = [[]]
+        self._leaves: list[list] = [[]]
+        for bcs in per_a[1:]:
+            bvals = sorted({b for b, _ in bcs})
+            u2 = len(bvals)
+            per_b: list[list] = [[] for _ in range(u2 + 1)]
+            for b, c in bcs:
+                h = u2 - bisect_left(bvals, b)
+                while h <= u2:
+                    per_b[h].append(c)
+                    h += h & -h
+            leaves: list = [None]
+            for cs in per_b[1:]:
+                cvals = sorted(set(cs))
+                leaves.append((cvals, [0] * (len(cvals) + 1), [None] * (len(cvals) + 1)))
+            self._bvals.append(bvals)
+            self._leaves.append(leaves)
 
     def insert_or_raise(self, key: tuple[int, int, int], value: int, node: Any = None) -> None:
         """Raise the value stored at key to max(old, value); payload follows the max."""
         if key not in self._declared:
             raise ValueError(f"key {key} was not declared at construction")
         a, b, c = key
-        g = self._u1 - bisect_left(self._avals, a)
-        while g <= self._u1:
-            self._nodes[g].update(b, c, value, node)
+        u1 = len(self._avals)
+        g = u1 - bisect_left(self._avals, a)
+        while g <= u1:
+            bvals, leaves = self._bvals[g], self._leaves[g]
+            u2 = len(bvals)
+            h = u2 - bisect_left(bvals, b)
+            while h <= u2:
+                cvals, val, pay = leaves[h]
+                u3 = len(cvals)
+                r = u3 - bisect_left(cvals, c)
+                while r <= u3:
+                    if value > val[r]:
+                        val[r] = value
+                        pay[r] = node
+                    r += r & -r
+                h += h & -h
             g += g & -g
 
     def query_max_strict(self, a: int, b: int, c: int) -> tuple[int, Any]:
         """Max value (and its payload) over stored keys strictly greater in all
         three coordinates; (0, None) when there is none."""
-        g = self._u1 - bisect_right(self._avals, a)
-        best, pay = 0, None
+        best, best_pay = 0, None
+        g = len(self._avals) - bisect_right(self._avals, a)
         while g > 0:
-            v, p = self._nodes[g].query(b, c)
-            if v > best:
-                best, pay = v, p
+            bvals, leaves = self._bvals[g], self._leaves[g]
+            h = len(bvals) - bisect_right(bvals, b)
+            while h > 0:
+                cvals, val, pay = leaves[h]
+                r = len(cvals) - bisect_right(cvals, c)
+                while r > 0:
+                    if val[r] > best:
+                        best, best_pay = val[r], pay[r]
+                    r -= r & -r
+                h -= h & -h
             g -= g & -g
-        return best, pay
+        return best, best_pay
 
 
 def sort_points(points: Iterable[Point4]) -> list[list[Point4]]:
     """Groups of points in non-increasing last coordinate, equal values together.
 
-    Bucket sort over the d range, linear in points plus range. Within a
-    group, points are ordered by (a, b, c) ascending so downstream
+    One stable sort on (-d, a, b, c), then a split into runs of equal d.
+    Within a group, points are ordered by (a, b, c) ascending so downstream
     processing is deterministic.
     """
-    points = list(points)
-    if not points:
-        return []
-    dmin = min(p.d for p in points)
-    dmax = max(p.d for p in points)
-    buckets: list[list[Point4]] = [[] for _ in range(dmax - dmin + 1)]
-    for p in points:
-        buckets[p.d - dmin].append(p)
-    groups = []
-    for bucket in reversed(buckets):
-        if bucket:
-            bucket.sort(key=lambda p: (p.a, p.b, p.c))
-            groups.append(bucket)
-    return groups
+    ordered = sorted(points, key=lambda p: (-p.d, p.a, p.b, p.c))
+    return [list(group) for _, group in groupby(ordered, key=lambda p: p.d)]
 
 
 def longest_chain(points: Iterable[Point4]) -> Optional[ChainNode]:
@@ -191,19 +157,14 @@ def longest_chain(points: Iterable[Point4]) -> Optional[ChainNode]:
     return best
 
 
-def geometric_lcps(
-    x: bytes,
-    y: bytes,
-    max_rects: int = DEFAULT_RECT_CAP,
-    max_matches: int = DEFAULT_MATCH_CAP,
-) -> CpsResult:
+def geometric_lcps(x: bytes, y: bytes, max_rects: int = DEFAULT_RECT_CAP) -> CpsResult:
     """LCPS via matches -> rectangles -> points -> maximum-weight chain.
 
     The chain is walked outward-in: each weight-2 node contributes the symbol
     at both ends, a trailing weight-1 node contributes the center character.
     Raises InvalidWitness if the assembled result does not embed into x and y.
     """
-    ms = build_match_set(x, y, max_matches)
+    ms = build_match_set(x, y)
     rects = enumerate_rectangles(ms, max_rects)
     best = longest_chain(map(rect_to_point, rects))
     if best is None:

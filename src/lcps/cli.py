@@ -4,8 +4,8 @@ Inputs are byte strings given as literals (-x/-y) or files (--x-file/--y-file),
 optionally parsed as FASTA. All indices printed anywhere are 1-based.
 
 Exit codes: 0 success, 2 usage error, 3 I/O error, 4 capacity exhausted on
-every applicable algorithm, 5 solver disagreement (or an invalid witness)
-from the compare command.
+every applicable algorithm, 5 solver disagreement from the compare command,
+or an invalid witness from solve or compare.
 """
 
 from __future__ import annotations
@@ -17,10 +17,10 @@ import time
 from pathlib import Path
 
 from .bench import SOLVERS, GenSpec, run_suite
-from .core import CapacityExceeded, InputTooLarge, validate_witness
+from .core import CapacityExceeded, InputTooLarge, InvalidWitness, validate_witness
 from .dp_solver import DEFAULT_CELL_CAP
 from .geometry import DEFAULT_RECT_CAP
-from .match_index import DEFAULT_MATCH_CAP, build_occurrence_lists, match_count
+from .match_index import build_occurrence_lists, match_count
 from .oracle import MAX_ORACLE_LEN
 
 EXIT_OK = 0
@@ -51,8 +51,6 @@ def _add_cap_flags(p: argparse.ArgumentParser) -> None:
                    help="cell cap for the dynamic program (default %(default)s)")
     p.add_argument("--max-rects", type=int, default=DEFAULT_RECT_CAP,
                    help="rectangle cap for the geometric solver (default %(default)s)")
-    p.add_argument("--max-matches", type=int, default=DEFAULT_MATCH_CAP,
-                   help="match-count cap (default %(default)s)")
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -110,7 +108,7 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
         return args
 
     if args.command in ("solve", "compare"):
-        if min(args.max_dp_cells, args.max_rects, args.max_matches) < 1:
+        if min(args.max_dp_cells, args.max_rects) < 1:
             raise UsageError("caps must be at least 1")
     for name, literal, path in (("x", args.x_literal, args.x_file),
                                 ("y", args.y_literal, args.y_file)):
@@ -184,6 +182,8 @@ def solve_command(args: argparse.Namespace) -> int:
     else:
         raise last_exc
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
+    if not validate_witness(result, x, y):
+        raise InvalidWitness(f"{algo_used} produced an invalid witness {result}")
 
     if args.fmt == "json":
         print(json.dumps({
@@ -286,6 +286,9 @@ def main(argv: list[str] | None = None) -> int:
     except (CapacityExceeded, InputTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
+    except InvalidWitness as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_MISMATCH
 
 
 if __name__ == "__main__":

@@ -10,10 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
-from .core import CapacityExceeded
-
-DEFAULT_MATCH_CAP = 10_000_000
-
 
 class Match(NamedTuple):
     i: int  # 1-based position in x
@@ -65,18 +61,16 @@ def match_count(occ: dict[int, tuple[tuple[int, ...], tuple[int, ...]]]) -> int:
     return sum(len(xs) * len(ys) for xs, ys in occ.values())
 
 
-def build_match_set(x: bytes, y: bytes, max_matches: int = DEFAULT_MATCH_CAP) -> MatchSet:
-    """Group all matches by symbol, aborting before materialization if the count is huge.
+def build_match_set(x: bytes, y: bytes) -> MatchSet:
+    """Group all matches by symbol.
 
-    Raises CapacityExceeded when the total match count would exceed
-    max_matches, which protects against quadratic blowup on low-entropy
-    inputs (e.g. two long runs of the same character).
+    Stores only the O(n + m) occurrence lists; matches are never
+    materialized, so no input is too large here. The geometric solver's
+    rectangle cap, checked before anything of size r is built, bounds what
+    comes after.
     """
     occ = build_occurrence_lists(x, y)
-    total = match_count(occ)
-    if total > max_matches:
-        raise CapacityExceeded(f"{total} matches exceed the cap of {max_matches}")
     per = tuple(
         SigmaMatchSet(ch, xs, ys) for ch, (xs, ys) in occ.items() if xs and ys
     )
-    return MatchSet(per, total)
+    return MatchSet(per, match_count(occ))

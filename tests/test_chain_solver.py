@@ -5,6 +5,7 @@ import pytest
 import lcps.chain_solver as chain_solver
 from conftest import random_pair
 from lcps import (
+    CapacityExceeded,
     CpsResult,
     DominanceMaxIndex,
     InvalidWitness,
@@ -201,3 +202,20 @@ def test_geometric_agrees_with_dp_and_oracle():
         assert validate_witness(g, x, y)
         assert all(b > a for a, b in zip(g.x_indices, g.x_indices[1:]))
         assert all(b > a for a, b in zip(g.y_indices, g.y_indices[1:]))
+
+
+def test_geometric_rect_cap_declines_long_runs():
+    # r = 10_000 matches bound the rectangles by r**2, far over the cap
+    with pytest.raises(CapacityExceeded):
+        geometric_lcps(b"a" * 100, b"a" * 100, max_rects=9_999)
+
+
+def test_geometric_agrees_with_dp_past_oracle_limit():
+    rng = random.Random(2121)
+    for _ in range(40):
+        sigma = rng.randint(3, 8)
+        x = bytes(rng.randrange(97, 97 + sigma) for _ in range(rng.randint(21, 40)))
+        y = bytes(rng.randrange(97, 97 + sigma) for _ in range(rng.randint(21, 40)))
+        d, g = dp_lcps(x, y), geometric_lcps(x, y)
+        assert d.length == g.length
+        assert validate_witness(d, x, y) and validate_witness(g, x, y)

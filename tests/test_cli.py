@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+import lcps.chain_solver as chain_solver
 import lcps.cli as cli
+import lcps.dp_solver as dp_solver
 from lcps.bench import GenSpec, generate
 from lcps.core import CpsResult
 
@@ -194,9 +196,7 @@ def test_compare_every_solver_declined_is_exit_4(capsys):
 def test_match_count_agrees_across_commands(capsys):
     x, y = generate(GenSpec(12, 12, 3, 7))
     lits = ["-x", x.decode("latin-1"), "-y", y.decode("latin-1")]
-    # the solve JSON count is not capped by --max-matches when dp answers
-    _, out, _ = run(capsys, "solve", *lits, "--algo", "dp", "--format", "json",
-                    "--max-matches", "1")
+    _, out, _ = run(capsys, "solve", *lits, "--algo", "dp", "--format", "json")
     solved = json.loads(out)["matches"]
     _, out, _ = run(capsys, "matches", *lits)
     counted = json.loads(out)["r"]
@@ -204,3 +204,20 @@ def test_match_count_agrees_across_commands(capsys):
                     "--reps", "1", "--algo", "geom")
     benched = json.loads(out)["r"]
     assert solved == counted == benched > 1
+
+
+BAD_WITNESS = CpsResult(2, b"ab", (1, 2), (1, 2))
+
+
+@pytest.mark.parametrize("command, algo, module, name", [
+    ("solve", "dp", dp_solver, "_traceback"),
+    ("solve", "geom", chain_solver, "assemble_result"),
+    ("compare", None, chain_solver, "assemble_result"),
+])
+def test_invalid_witness_is_exit_5(capsys, monkeypatch, command, algo, module, name):
+    monkeypatch.setattr(module, name, lambda *args, **kwargs: BAD_WITNESS)
+    code, out, err = run(capsys, command, "-x", "aab", "-y", "aba",
+                         *(["--algo", algo] if algo else []))
+    assert code == 5
+    assert err.startswith("error: ") and "invalid witness" in err
+    assert "ab" not in out.splitlines()

@@ -1,9 +1,7 @@
 import random
 
-import pytest
-
 from conftest import random_pair
-from lcps import CapacityExceeded, Match, build_match_set, build_occurrence_lists
+from lcps import Match, build_match_set, build_occurrence_lists
 
 
 def test_occurrence_lists_example():
@@ -51,13 +49,6 @@ def test_r_sigma_is_product_of_occurrence_counts():
         assert s.r_sigma == len(s.x_occ) * len(s.y_occ)
         assert len(list(s.matches)) == s.r_sigma
     assert ms.r == sum(s.r_sigma for s in ms.per_sigma)
-
-
-def test_match_cap_raises_before_materializing():
-    with pytest.raises(CapacityExceeded):
-        build_match_set(b"a" * 100, b"a" * 100, max_matches=9_999)
-    # exactly at the cap is fine
-    assert build_match_set(b"a" * 100, b"a" * 100, max_matches=10_000).r == 10_000
 
 
 def test_r_matches_naive_double_loop():
