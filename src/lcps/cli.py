@@ -19,8 +19,8 @@ from pathlib import Path
 from .bench import SOLVERS, GenSpec, run_suite
 from .core import CapacityExceeded, InputTooLarge, InvalidWitness, validate_witness
 from .dp_solver import DEFAULT_CELL_CAP
-from .geometry import DEFAULT_RECT_CAP
-from .match_index import build_occurrence_lists, match_count
+from .geometry import DEFAULT_RECT_CAP, rect_count
+from .match_index import OccurrenceLists, build_occurrence_lists, match_count
 from .oracle import MAX_ORACLE_LEN
 
 EXIT_OK = 0
@@ -105,6 +105,10 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
             raise UsageError(f"unknown bench algorithm(s): {', '.join(unknown)}")
         if args.reps < 1:
             raise UsageError("--reps must be at least 1")
+        if any(n < 0 for n in args.n_list):
+            raise UsageError("--n-list lengths must be at least 0")
+        if any(not 1 <= s <= 256 for s in args.s_list):
+            raise UsageError("--s-list alphabet sizes must be in 1..256")
         return args
 
     if args.command in ("solve", "compare"):
@@ -163,15 +167,26 @@ def _load_inputs(args: argparse.Namespace) -> tuple[bytes, bytes]:
     return x, y
 
 
-# auto tries geom first and falls back to dp when geom declines.
-AUTO_ORDER = ("geom", "dp")
+# dp fills n*n*m*m table cells; geom pays per rectangle. Timed on n = m in
+# 12..32 with 2 to 16 symbols (2-vCPU x86, Python 3.11), one rectangle cost
+# as much as 245 to 293 cells: the median break-even per instance.
+DP_CELLS_PER_RECT = 256
+
+
+def auto_order(n: int, m: int, occ: OccurrenceLists) -> tuple[str, str]:
+    """Solvers for auto to try in turn: the one predicted cheaper first, the
+    other as the fallback when the first exceeds its size cap."""
+    if n * n * m * m <= DP_CELLS_PER_RECT * rect_count(occ):
+        return ("dp", "geom")
+    return ("geom", "dp")
 
 
 def solve_command(args: argparse.Namespace) -> int:
     x, y = _load_inputs(args)
-    r_total = match_count(build_occurrence_lists(x, y))
+    occ = build_occurrence_lists(x, y)
+    r_total = match_count(occ)
 
-    order = AUTO_ORDER if args.algo == "auto" else (args.algo,)
+    order = auto_order(len(x), len(y), occ) if args.algo == "auto" else (args.algo,)
     t0 = time.perf_counter()
     for algo_used in order:
         try:

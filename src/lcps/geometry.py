@@ -13,9 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 
 from .core import CapacityExceeded, CpsResult, InvalidWitness, validate_witness
-from .match_index import Match, MatchSet
+from .match_index import Match, MatchSet, OccurrenceLists
 
 DEFAULT_RECT_CAP = 5_000_000
 
@@ -67,6 +68,18 @@ def enumerate_rectangles(ms: MatchSet, max_rects: int = DEFAULT_RECT_CAP) -> lis
         for mt in s.matches:
             rects.append(Rect(s.sigma, mt, mt, 1))
     return rects
+
+
+def rect_count(occ: OccurrenceLists) -> int:
+    """Exact number of rectangles enumerate_rectangles builds, in O(sigma).
+
+    occ is the output of build_occurrence_lists. A symbol with x_s and y_s
+    occurrences gives C(x_s, 2) * C(y_s, 2) pairs plus x_s * y_s degenerates.
+    """
+    return sum(
+        comb(len(xs), 2) * comb(len(ys), 2) + len(xs) * len(ys)
+        for xs, ys in occ.values()
+    )
 
 
 def rect_to_point(r: Rect) -> Point4:

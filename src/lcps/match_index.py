@@ -11,6 +11,10 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 
+# Symbol -> (sorted 1-based positions in x, sorted 1-based positions in y).
+OccurrenceLists = dict[int, tuple[tuple[int, ...], tuple[int, ...]]]
+
+
 class Match(NamedTuple):
     i: int  # 1-based position in x
     j: int  # 1-based position in y
@@ -43,7 +47,7 @@ class MatchSet:
     r: int
 
 
-def build_occurrence_lists(x: bytes, y: bytes) -> dict[int, tuple[tuple[int, ...], tuple[int, ...]]]:
+def build_occurrence_lists(x: bytes, y: bytes) -> OccurrenceLists:
     """Sorted 1-based positions of every octet appearing in either input.
 
     A symbol missing from one side maps to an empty tuple on that side.
@@ -56,7 +60,7 @@ def build_occurrence_lists(x: bytes, y: bytes) -> dict[int, tuple[tuple[int, ...
     return {ch: (tuple(xs), tuple(ys)) for ch, (xs, ys) in sorted(occ.items())}
 
 
-def match_count(occ: dict[int, tuple[tuple[int, ...], tuple[int, ...]]]) -> int:
+def match_count(occ: OccurrenceLists) -> int:
     """Total number of matches over occurrence lists from build_occurrence_lists."""
     return sum(len(xs) * len(ys) for xs, ys in occ.values())
 

@@ -174,6 +174,46 @@ def test_bench_unknown_algo_is_usage_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("--n-list", "5", "--s-list", "0"),
+    ("--n-list", "5", "--s-list", "300"),
+    ("--n-list", "-3"),
+])
+def test_bench_size_out_of_range_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, "bench", *argv, "--reps", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+DENSE = generate(GenSpec(24, 24, 2, 1))     # 331 776 dp cells, 8 866 rectangles
+SPARSE = generate(GenSpec(60, 60, 60, 1))   # 12 960 000 dp cells, 47 rectangles
+
+
+def solve_auto(capsys, pair, *flags):
+    x, y = (s.decode("latin-1") for s in pair)
+    code, out, _ = run(capsys, "solve", "-x", x, "-y", y, "--algo", "auto",
+                       "--format", "json", *flags)
+    assert code == 0
+    return json.loads(out)
+
+
+def test_auto_picks_the_cheaper_solver(capsys):
+    assert solve_auto(capsys, DENSE)["algorithm"] == "dp"
+    assert solve_auto(capsys, SPARSE)["algorithm"] == "geom"
+
+
+@pytest.mark.parametrize("pair, cap, fallback", [
+    (DENSE, "--max-dp-cells", "geom"),
+    (SPARSE, "--max-rects", "dp"),
+])
+def test_auto_falls_back_when_the_cheaper_solver_declines(capsys, pair, cap, fallback):
+    first = solve_auto(capsys, pair)
+    second = solve_auto(capsys, pair, cap, "1")
+    assert second["algorithm"] == fallback != first["algorithm"]
+    assert second["lcps_length"] == first["lcps_length"]
+
+
 def test_compare_reports_declined_solver(capsys):
     code, out, _ = run(capsys, "compare", "-x", "aab", "-y", "aba", "--max-dp-cells", "1")
     assert code == 0

@@ -17,6 +17,8 @@ from lcps import (
     is_nested,
     rect_to_point,
 )
+from lcps.geometry import rect_count
+from lcps.match_index import build_occurrence_lists
 
 A = ord("a")
 
@@ -65,6 +67,20 @@ def test_enumerate_never_shares_a_coordinate():
                 assert r.lower.i < r.upper.i and r.lower.j < r.upper.j
             else:
                 assert r.lower == r.upper
+
+
+def test_rect_count_is_exact():
+    rng = random.Random(17)
+    pairs = [
+        (b"", b""),
+        (b"", b"abc"),
+        (b"abc", b""),
+        (b"aab", b"ccd"),     # no symbol on both sides
+        (b"aabz", b"abay"),   # z and y on one side only
+        (b"aaaa", b"aaaa"),
+    ] + [random_pair(rng, max_len=12, max_sigma=5) for _ in range(200)]
+    for x, y in pairs:
+        assert rect_count(build_occurrence_lists(x, y)) == len(enumerate_rectangles(build_match_set(x, y)))
 
 
 def test_enumerate_cap():
