@@ -169,8 +169,8 @@ def _load_inputs(args: argparse.Namespace) -> tuple[bytes, bytes]:
 
 # dp fills n*n*m*m table cells; geom pays per rectangle. Timed on n = m in
 # 12..32 with 2 to 16 symbols (2-vCPU x86, Python 3.11), one rectangle cost
-# as much as 245 to 293 cells: the median break-even per instance.
-DP_CELLS_PER_RECT = 256
+# as much as 1 970 to 2 600 cells: the median break-even per instance.
+DP_CELLS_PER_RECT = 2048
 
 
 def auto_order(n: int, m: int, occ: OccurrenceLists) -> tuple[str, str]:

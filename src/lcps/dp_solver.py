@@ -10,15 +10,29 @@ Recurrence, for i < j and k < l:
     of either substring.
 
 Length-1 substrings score 1 exactly when their character occurs anywhere in
-the other window, which is resolved from per-symbol prefix counts so every
-cell is individually correct, not just the root.
+the other window, so every cell is individually correct, not just the root.
 
-Storage is laid out by substring length, (x_len, i, y_len, k), so the fill
-runs as vectorized slabs. Slabs are batched by total length x_len + y_len:
-all dependencies of a batch live in earlier batches, and each batch is a
-handful of numpy gathers over contiguous index planes. Slab rows beyond a
-length's valid start range hold garbage, but no in-range cell ever reads
-them and the accessor cannot address them.
+Storage is (x_len, i, k, l) with 0-based starts and ends: an x window by its
+length and start, a y window by its start and end. Cells with l < k (an
+empty y window) and the x_len = 0 plane stay 0, so peeling a length-2
+window on either side reads 0 without a special case. The fill takes one x length at a
+time; all starts i and all y windows (k, l) of that length are one
+contiguous slab:
+
+  1. every cell takes the larger x-side drop, two slices of the x_len - 1
+     slab (starts i + 1 and i); at x_len = 1 the slab is seeded instead
+     with x[i] == y[k] on the diagonal l = k;
+  2. cells whose four ends are equal (k < l) are overwritten with
+     2 + (x_len - 2, i + 1, k + 1, l - 1);
+  3. two in-place running maxima, ascending along l and then descending
+     along k, close the y-side drops.
+
+Step 3 is the y-side drops unrolled: following them from (k, l) reaches
+every y window inside it, so the recurrence's value is the maximum of steps
+1 and 2 over all contained windows (k <= k' <= l' <= l), and that is what
+the two running maxima compute. A four-equal cell is not lowered by this,
+and not raised either: 2 + peel is at least the value of every window it
+contains.
 """
 
 from __future__ import annotations
@@ -45,7 +59,7 @@ class DpTable:
             return 0
         if not (1 <= i and j <= self.n and 1 <= k and l <= self.m):
             raise IndexError(f"cell ({i},{j},{k},{l}) outside a {self.n}x{self.m} instance")
-        return int(self._planes[j - i + 1, i, l - k + 1, k])
+        return int(self._planes[j - i + 1, i - 1, k - 1, l - 1])
 
     @property
     def root(self) -> int:
@@ -54,7 +68,7 @@ class DpTable:
 
 
 def fill_table(x: bytes, y: bytes, max_cells: int = DEFAULT_CELL_CAP) -> DpTable:
-    """Fill the whole table bottom-up, shorter substring pairs first.
+    """Fill the whole table bottom-up, shorter x windows first.
 
     Raises CapacityExceeded when n*n*m*m exceeds max_cells, or when the
     shorter input reaches 2**16 so a cell value could overflow uint16; at
@@ -68,66 +82,27 @@ def fill_table(x: bytes, y: bytes, max_cells: int = DEFAULT_CELL_CAP) -> DpTable
         )
     if min(n, m) >= 2**16:
         raise CapacityExceeded(f"cell values up to {min(n, m)} do not fit in uint16")
-    planes = np.zeros((n + 1, n + 1, m + 1, m + 1), dtype=np.uint16)
-    if n == 0 or m == 0:
-        planes.setflags(write=False)
-        return DpTable(x, y, planes)
-
-    xs = np.frombuffer(x, dtype=np.uint8).astype(np.int16)
-    ys = np.frombuffer(y, dtype=np.uint8).astype(np.int16)
-
-    # Length-1 bases from prefix occurrence counts. occ_y[c, t] counts c in
-    # y[1..t]; x's character occurs in y[k..k+ylen-1] iff the count grows
-    # across that window. Same construction transposed for length-1 y.
-    occ_y = np.zeros((256, m + 1), dtype=np.int32)
-    occ_y[ys, np.arange(1, m + 1)] = 1
-    np.cumsum(occ_y, axis=1, out=occ_y)
-    x_row = occ_y[xs]  # (n, m+1)
-    ends = np.minimum(np.arange(1, m + 1)[:, None] + np.arange(m)[None, :], m)
-    planes[1, 1 : n + 1, 1 : m + 1, 1 : m + 1] = (
-        x_row[:, ends] - x_row[:, None, 0:m] > 0
-    )
-
-    occ_x = np.zeros((256, n + 1), dtype=np.int32)
-    occ_x[xs, np.arange(1, n + 1)] = 1
-    np.cumsum(occ_x, axis=1, out=occ_x)
-    y_row = occ_x[ys]  # (m, n+1)
-    ends = np.minimum(np.arange(1, n + 1)[:, None] + np.arange(n)[None, :], n)
-    present = y_row[:, ends] - y_row[:, None, 0:n] > 0  # (k, x_len, i)
-    planes[1 : n + 1, 1 : n + 1, 1, 1 : m + 1] = present.transpose(1, 2, 0)
-
-    if n < 2 or m < 2:
-        planes.setflags(write=False)
-        return DpTable(x, y, planes)
-
-    # Symbol lookups padded with a sentinel so end positions past the input,
-    # which only occur on garbage slab rows, never compare equal.
-    xpad = np.full(2 * n + 2, -1, dtype=np.int16)
-    xpad[1 : n + 1] = xs
-    ypad = np.full(2 * m + 2, -1, dtype=np.int16)
-    ypad[1 : m + 1] = ys
+    planes = np.zeros((n + 1, n, m, m), dtype=np.uint16)
+    xs = np.frombuffer(x, dtype=np.uint8)
+    ys = np.frombuffer(y, dtype=np.uint8)
     cross = xs[:, None] == ys[None, :]  # x[i] == y[k], 0-based
-
-    ivec = np.arange(1, n)  # valid starts for x_len >= 2 all satisfy i <= n-1
-    kvec = np.arange(1, m)
-    i3 = ivec[None, :, None]
-    k3 = kvec[None, None, :]
-    for total in range(4, n + m + 1):
-        lx = np.arange(max(2, total - m), min(n, total - 2) + 1)
-        if lx.size == 0:
-            continue
-        ly = total - lx
-        lx3 = lx[:, None, None]
-        ly3 = ly[:, None, None]
-        eqx = xpad[ivec[None, :]] == xpad[ivec[None, :] + (lx - 1)[:, None]]
-        eqy = ypad[kvec[None, :]] == ypad[kvec[None, :] + (ly - 1)[:, None]]
-        four_equal = eqx[:, :, None] & eqy[:, None, :] & cross[None, : n - 1, : m - 1]
-        inner = planes[lx3 - 2, i3 + 1, ly3 - 2, k3 + 1]
-        best = np.maximum(
-            np.maximum(planes[lx3 - 1, i3 + 1, ly3, k3], planes[lx3 - 1, i3, ly3, k3]),
-            np.maximum(planes[lx3, i3, ly3 - 1, k3 + 1], planes[lx3, i3, ly3 - 1, k3]),
-        )
-        planes[lx3, i3, ly3, k3] = np.where(four_equal, inner + 2, best)
+    # pair_at[i, k, l]: x[i] == y[k] == y[l] with k < l, the four-equal test
+    # once x[i] also equals the window's last symbol.
+    pair_at = cross[:, :, None] & np.triu(ys[:, None] == ys[None, :], 1)
+    for lx in range(1, n + 1):
+        count = n - lx + 1  # valid starts i = 0..n-lx
+        slab = planes[lx, :count]
+        if lx == 1:
+            diag = np.arange(m)
+            slab[:, diag, diag] = cross
+        else:
+            np.maximum(planes[lx - 1, 1 : count + 1], planes[lx - 1, :count], out=slab)
+            four = pair_at[:count, :-1, 1:] & (xs[:count] == xs[lx - 1 :])[:, None, None]
+            np.add(planes[lx - 2, 1 : count + 1, 1:, :-1], 2, out=slab[:, :-1, 1:], where=four)
+        # y-side drops: each cell becomes the max over the y windows it contains
+        np.maximum.accumulate(slab, axis=2, out=slab)
+        descending = slab[:, ::-1]
+        np.maximum.accumulate(descending, axis=1, out=descending)
     planes.setflags(write=False)
     return DpTable(x, y, planes)
 

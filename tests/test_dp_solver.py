@@ -2,14 +2,17 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from conftest import byte_seqs, random_pair
 import lcps
 from lcps import CapacityExceeded, brute_force_lcps, dp_lcps, fill_table, validate_witness
+from lcps.bench import GenSpec, generate
 
 
 def test_single_char_cell():
@@ -135,6 +138,68 @@ def test_four_equal_ends_peel_consistently():
                             assert t.cell(i, j, k, l) == 2 + t.cell(i + 1, j - 1, k + 1, l - 1)
                             checked += 1
     assert checked > 100
+
+
+def _dense_cells(t):
+    """The table as F[i, j, k, l] over 1-based bounds; empty windows read 0."""
+    n, m = t.n, t.m
+    f = np.zeros((n + 2, n + 1, m + 2, m + 1), dtype=np.int32)
+    for i in range(1, n + 1):
+        for j in range(i, n + 1):
+            f[i, j, 1 : m + 1, 1 : m + 1] = t._planes[j - i + 1, i - 1]
+    return f
+
+
+@pytest.mark.parametrize("sigma", [2, 4])
+def test_every_cell_obeys_the_recurrence_at_benchmark_size(sigma):
+    # The oracle cannot reach n=36; checking each cell against the recurrence
+    # over its already-checked neighbours covers the whole table by induction.
+    x, y = generate(GenSpec(36, 36, sigma, 1))
+    n, m = len(x), len(y)
+    f = _dense_cells(fill_table(x, y))
+    xs = np.frombuffer(x, dtype=np.uint8)
+    ys = np.frombuffer(y, dtype=np.uint8)
+    xi, xj = xs.reshape(n, 1, 1, 1), xs.reshape(1, n, 1, 1)
+    yk, yl = ys.reshape(1, 1, m, 1), ys.reshape(1, 1, 1, m)
+    cell = f[1 : n + 1, 1 : n + 1, 1 : m + 1, 1 : m + 1]
+    four_equal = (xi == xj) & (xj == yk) & (yk == yl)
+    peel = f[2 : n + 2, 0:n, 2 : m + 2, 0:m] + 2
+    drops = np.maximum.reduce([
+        f[2 : n + 2, 1 : n + 1, 1 : m + 1, 1 : m + 1],  # (i+1, j, k, l)
+        f[1 : n + 1, 0:n, 1 : m + 1, 1 : m + 1],  # (i, j-1, k, l)
+        f[1 : n + 1, 1 : n + 1, 2 : m + 2, 1 : m + 1],  # (i, j, k+1, l)
+        f[1 : n + 1, 1 : n + 1, 1 : m + 1, 0:m],  # (i, j, k, l-1)
+    ])
+    ii = np.arange(n)
+    kk = np.arange(m)
+    both_long = (ii[:, None] < ii[None, :])[:, :, None, None] & (kk[:, None] < kk[None, :])
+    want = np.where(four_equal, peel, drops)
+    assert np.array_equal(cell[both_long], want[both_long])
+    assert both_long.sum() == (n * (n - 1) // 2) * (m * (m - 1) // 2)
+
+    # Length-1 windows: 1 exactly when the symbol occurs in the other window.
+    cross = (xs[:, None] == ys[None, :]).astype(np.int32)
+    hits_y = np.concatenate([np.zeros((n, 1), np.int32), cross.cumsum(axis=1)], axis=1)
+    in_y = hits_y[:, None, 1:] - hits_y[:, :-1, None] > 0  # (i, k, l), k <= l
+    hits_x = np.concatenate([np.zeros((1, m), np.int32), cross.cumsum(axis=0)], axis=0)
+    in_x = hits_x[1:][None, :, :] - hits_x[:-1][:, None, :] > 0  # (i, j, k), i <= j
+    upper_y = kk[:, None] <= kk[None, :]
+    upper_x = ii[:, None] <= ii[None, :]
+    assert np.array_equal(cell[ii, ii][:, upper_y], in_y[:, upper_y])
+    assert np.array_equal(cell[:, :, kk, kk][upper_x], in_x[upper_x])
+
+
+def test_fill_peak_memory_is_the_table():
+    # A size cap must bound real memory: the per-x-length temporaries are
+    # O(n*m*m), small next to the n*n*m*m table.
+    x, y = generate(GenSpec(40, 40, 2, 1))
+    tracemalloc.start()
+    try:
+        t = fill_table(x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * t._planes.nbytes, (peak, t._planes.nbytes)
 
 
 @settings(max_examples=60, deadline=None)
