@@ -13,7 +13,7 @@ from .chain_solver import geometric_lcps
 from .core import CapacityExceeded, InputTooLarge
 from .dp_solver import DEFAULT_CELL_CAP, dp_lcps
 from .geometry import DEFAULT_RECT_CAP
-from .match_index import build_occurrence_lists, match_count
+from .match_index import build_match_set
 from .oracle import brute_force_lcps
 
 # Every solver by name, called as SOLVERS[name](caps, x, y); caps is any
@@ -71,7 +71,7 @@ def run_suite(
     rows = []
     for spec in specs:
         x, y = generate(spec)
-        r = match_count(build_occurrence_lists(x, y))
+        r = build_match_set(x, y).r
         lengths = {}
         for algo in algos:
             fn = SOLVERS[algo]

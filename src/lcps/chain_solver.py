@@ -162,22 +162,24 @@ def geometric_lcps(x: bytes, y: bytes, max_rects: int = DEFAULT_RECT_CAP) -> Cps
 
     The chain is walked outward-in: each weight-2 node contributes the symbol
     at both ends, a trailing weight-1 node contributes the center character.
+    A point (a, b, c, d) has corners (a, b) and (-c, -d) and symbol x[a - 1].
     Raises InvalidWitness if the assembled result does not embed into x and y.
     """
-    ms = build_match_set(x, y)
-    rects = enumerate_rectangles(ms, max_rects)
-    best = longest_chain(map(rect_to_point, rects))
+    # No name holds the rectangles, so they are freed once longest_chain has
+    # turned them into points.
+    best = longest_chain(
+        map(rect_to_point, enumerate_rectangles(build_match_set(x, y), max_rects)))
     if best is None:
         return EMPTY_RESULT
     pairs = []
     center = None
     node = best
     while node is not None:
-        r = node.point.source
-        if r.weight == 2:
-            pairs.append((r.sigma, r.lower.i, r.upper.i, r.lower.j, r.upper.j))
+        p = node.point
+        if p.weight == 2:
+            pairs.append((x[p.a - 1], p.a, -p.c, p.b, -p.d))
         else:
-            center = (r.sigma, r.lower.i, r.lower.j)
+            center = (x[p.a - 1], p.a, p.b)
         node = node.successor
     result = assemble_result(pairs, center)
     if not validate_witness(result, x, y):

@@ -20,7 +20,7 @@ from .bench import SOLVERS, GenSpec, run_suite
 from .core import CapacityExceeded, InputTooLarge, InvalidWitness, validate_witness
 from .dp_solver import DEFAULT_CELL_CAP
 from .geometry import DEFAULT_RECT_CAP, rect_count
-from .match_index import OccurrenceLists, build_occurrence_lists, match_count
+from .match_index import MatchSet, build_match_set
 from .oracle import MAX_ORACLE_LEN
 
 EXIT_OK = 0
@@ -173,20 +173,18 @@ def _load_inputs(args: argparse.Namespace) -> tuple[bytes, bytes]:
 DP_CELLS_PER_RECT = 2048
 
 
-def auto_order(n: int, m: int, occ: OccurrenceLists) -> tuple[str, str]:
+def auto_order(n: int, m: int, ms: MatchSet) -> tuple[str, str]:
     """Solvers for auto to try in turn: the one predicted cheaper first, the
     other as the fallback when the first exceeds its size cap."""
-    if n * n * m * m <= DP_CELLS_PER_RECT * rect_count(occ):
+    if n * n * m * m <= DP_CELLS_PER_RECT * rect_count(ms):
         return ("dp", "geom")
     return ("geom", "dp")
 
 
 def solve_command(args: argparse.Namespace) -> int:
     x, y = _load_inputs(args)
-    occ = build_occurrence_lists(x, y)
-    r_total = match_count(occ)
-
-    order = auto_order(len(x), len(y), occ) if args.algo == "auto" else (args.algo,)
+    ms = build_match_set(x, y)
+    order = auto_order(len(x), len(y), ms) if args.algo == "auto" else (args.algo,)
     t0 = time.perf_counter()
     for algo_used in order:
         try:
@@ -209,7 +207,7 @@ def solve_command(args: argparse.Namespace) -> int:
             "lcps": result.z.decode("latin-1"),
             "x_indices": list(result.x_indices),
             "y_indices": list(result.y_indices),
-            "matches": r_total,
+            "matches": ms.r,
             "elapsed_ms": elapsed_ms,
         }))
     else:
@@ -251,13 +249,9 @@ def compare_command(args: argparse.Namespace) -> int:
 
 def matches_command(args: argparse.Namespace) -> int:
     x, y = _load_inputs(args)
-    occ = build_occurrence_lists(x, y)
-    per_sigma = {
-        chr(ch): len(xs) * len(ys)
-        for ch, (xs, ys) in occ.items()
-        if xs and ys
-    }
-    print(json.dumps({"r": match_count(occ), "per_sigma": per_sigma}))
+    ms = build_match_set(x, y)
+    per_sigma = {chr(s.sigma): s.r_sigma for s in ms.per_sigma}
+    print(json.dumps({"r": ms.r, "per_sigma": per_sigma}))
     return EXIT_OK
 
 
@@ -279,31 +273,27 @@ COMMANDS = {
     "bench": bench_command,
 }
 
+# Each error a command may raise, and the exit code it ends the run with.
+EXIT_CODES = {
+    UsageError: EXIT_USAGE,
+    IoError: EXIT_IO,
+    CapacityExceeded: EXIT_CAPACITY,
+    InputTooLarge: EXIT_CAPACITY,
+    InvalidWitness: EXIT_MISMATCH,
+}
+
 
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
         args = parse_args(argv)
+        return COMMANDS[args.command](args)
     except SystemExit as exc:  # argparse reports usage errors itself
         return int(exc.code or 0)
-    except UsageError as exc:
+    except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        return COMMANDS[args.command](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except IoError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (CapacityExceeded, InputTooLarge) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAPACITY
-    except InvalidWitness as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MISMATCH
+        return EXIT_CODES[type(exc)]
 
 
 if __name__ == "__main__":

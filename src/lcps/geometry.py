@@ -6,19 +6,26 @@ rectangle strictly inside another means the inner pair of palindrome ends
 sits strictly between the outer pair in both inputs, so palindrome length
 equals total weight along a chain of nested rectangles. Negating the upper
 corner turns strict nesting into strict 4-way dominance of points, which is
-what the chain solver consumes.
+what the chain solver consumes. rect_count gives the exact number of
+rectangles from the match set's occurrence counts alone; it is the one
+count the size cap and the CLI's solver choice use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product, starmap
 from math import comb
 
 from .core import CapacityExceeded, CpsResult, InvalidWitness, validate_witness
-from .match_index import Match, MatchSet, OccurrenceLists
+from .match_index import Match, MatchSet
 
-DEFAULT_RECT_CAP = 5_000_000
+# A cap on the exact rectangle count P = sum over symbols of
+# C(x_s, 2) * C(y_s, 2) + x_s * y_s, for x_s and y_s occurrences of s in x
+# and y. P = sum(r_s**2) / 4 - sum(x_s * y_s * (x_s + y_s - 5)) / 4 with
+# r_s = x_s * y_s, so every input with sum(r_s**2) <= 5 000 000 stays below
+# this cap (the largest such P is about 1.20 M).
+DEFAULT_RECT_CAP = 1_250_000
 
 
 @dataclass(frozen=True)
@@ -39,12 +46,14 @@ class Rect:
 
 @dataclass(frozen=True)
 class Point4:
+    """The point (i, j, -k, -l) of a rectangle with lower corner (i, j) and
+    upper corner (k, l), and the rectangle's weight."""
+
     a: int
     b: int
     c: int
     d: int
     weight: int
-    source: Rect
 
 
 def enumerate_rectangles(ms: MatchSet, max_rects: int = DEFAULT_RECT_CAP) -> list[Rect]:
@@ -52,39 +61,34 @@ def enumerate_rectangles(ms: MatchSet, max_rects: int = DEFAULT_RECT_CAP) -> lis
 
     Pairs sharing an x or a y position are never emitted: a palindrome cannot
     reuse one input position for two output characters. Raises
-    CapacityExceeded (before building anything) when the pair-count bound
-    sum over symbols of r_sigma squared exceeds max_rects.
+    CapacityExceeded (before building anything) when the exact count
+    rect_count(ms) exceeds max_rects.
     """
-    bound = sum(s.r_sigma**2 for s in ms.per_sigma)
-    if bound > max_rects:
-        raise CapacityExceeded(
-            f"up to {bound} rectangles exceed the cap of {max_rects}"
-        )
+    count = rect_count(ms)
+    if count > max_rects:
+        raise CapacityExceeded(f"{count} rectangles exceed the cap of {max_rects}")
     rects = []
     for s in ms.per_sigma:
         for i, k in combinations(s.x_occ, 2):
             for j, l in combinations(s.y_occ, 2):
                 rects.append(Rect(s.sigma, Match(i, j), Match(k, l), 2))
-        for mt in s.matches:
+        for mt in starmap(Match, product(s.x_occ, s.y_occ)):
             rects.append(Rect(s.sigma, mt, mt, 1))
     return rects
 
 
-def rect_count(occ: OccurrenceLists) -> int:
+def rect_count(ms: MatchSet) -> int:
     """Exact number of rectangles enumerate_rectangles builds, in O(sigma).
 
-    occ is the output of build_occurrence_lists. A symbol with x_s and y_s
-    occurrences gives C(x_s, 2) * C(y_s, 2) pairs plus x_s * y_s degenerates.
+    A symbol with x_s and y_s occurrences gives C(x_s, 2) * C(y_s, 2) pairs
+    plus x_s * y_s degenerates.
     """
-    return sum(
-        comb(len(xs), 2) * comb(len(ys), 2) + len(xs) * len(ys)
-        for xs, ys in occ.values()
-    )
+    return sum(comb(len(s.x_occ), 2) * comb(len(s.y_occ), 2) + s.r_sigma for s in ms.per_sigma)
 
 
 def rect_to_point(r: Rect) -> Point4:
     """Map corners (i, j) and (k, l) to the point (i, j, -k, -l)."""
-    return Point4(r.lower.i, r.lower.j, -r.upper.i, -r.upper.j, r.weight, r)
+    return Point4(r.lower.i, r.lower.j, -r.upper.i, -r.upper.j, r.weight)
 
 
 def is_nested(inner: Rect, outer: Rect) -> bool:

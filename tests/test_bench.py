@@ -1,8 +1,8 @@
 import pytest
 
 import lcps.bench as bench
-from lcps import GenSpec, generate, run_suite
-from lcps.match_index import build_occurrence_lists, match_count
+from lcps.bench import GenSpec, generate, run_suite
+from lcps.match_index import build_match_set
 
 
 def test_generate_empty():
@@ -12,7 +12,7 @@ def test_generate_empty():
 def test_generate_unary_alphabet():
     x, y = generate(GenSpec(3, 3, 1, 99))
     assert (x, y) == (b"aaa", b"aaa")
-    assert match_count(build_occurrence_lists(x, y)) == 9
+    assert build_match_set(x, y).r == 9
 
 
 def test_generate_is_deterministic():
@@ -51,7 +51,7 @@ def test_run_suite_empty():
 
 
 def test_run_suite_capacity_status_row():
-    # n = 100 exceeds both the dp cell cap and the rectangle bound
+    # n = 100 exceeds both the dp cell cap and the rectangle cap (P = 2 978 117)
     rows = run_suite([GenSpec(100, 100, 2, 1)], ["dp", "geom"], repetitions=1)
     assert [row["status"] for row in rows] == ["CapacityExceeded", "CapacityExceeded"]
     assert all(row["length"] is None and row["median_ms"] is None for row in rows)

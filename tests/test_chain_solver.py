@@ -7,21 +7,15 @@ from conftest import random_pair
 from lcps import (
     CapacityExceeded,
     CpsResult,
-    DominanceMaxIndex,
     InvalidWitness,
-    Match,
-    Rect,
     brute_force_lcps,
-    build_match_set,
     dp_lcps,
-    enumerate_rectangles,
     geometric_lcps,
-    is_chained,
-    longest_chain,
-    rect_to_point,
-    sort_points,
     validate_witness,
 )
+from lcps.chain_solver import DominanceMaxIndex, longest_chain, sort_points
+from lcps.geometry import Match, Rect, enumerate_rectangles, is_chained, rect_to_point
+from lcps.match_index import build_match_set
 
 
 def rect(i, j, k, l):
@@ -143,7 +137,8 @@ def test_longest_chain_forced_pair():
     pts = [rect_to_point(r) for r in enumerate_rectangles(build_match_set(b"aa", b"aa"))]
     node = longest_chain(pts)
     assert node.value == 2
-    assert node.point.source == rect(1, 1, 2, 2)
+    p = node.point
+    assert (p.a, p.b, -p.c, -p.d, p.weight) == (1, 1, 2, 2, 2)  # corners (1, 1) and (2, 2)
     assert node.successor is None  # nothing fits strictly inside
 
 
@@ -205,7 +200,7 @@ def test_geometric_agrees_with_dp_and_oracle():
 
 
 def test_geometric_rect_cap_declines_long_runs():
-    # r = 10_000 matches bound the rectangles by r**2, far over the cap
+    # C(100, 2)**2 + 100 * 100 = 24 512 500 rectangles, far over the cap
     with pytest.raises(CapacityExceeded):
         geometric_lcps(b"a" * 100, b"a" * 100, max_rects=9_999)
 

@@ -96,6 +96,15 @@ def test_capacity_exhausted_everywhere_is_exit_4(capsys):
     assert err
 
 
+def test_rect_cap_counts_the_rectangles_built(capsys):
+    # aaaa against aaaa builds C(4, 2)**2 + 4 * 4 = 52 rectangles
+    argv = ["solve", "--algo", "geom", "-x", "aaaa", "-y", "aaaa"]
+    assert run(capsys, *argv, "--max-rects", "100") == (0, "4\naaaa\n", "")
+    assert run(capsys, *argv, "--max-rects", "52") == (0, "4\naaaa\n", "")
+    assert run(capsys, *argv, "--max-rects", "51") == (
+        4, "", "error: 52 rectangles exceed the cap of 51\n")
+
+
 def test_plain_file_strips_one_trailing_newline(capsys, tmp_path):
     path = tmp_path / "x.txt"
     path.write_bytes(b"abc\n")

@@ -1,7 +1,7 @@
 from hypothesis import given
 
 from conftest import byte_seqs
-from lcps import CpsResult, is_palindrome, is_subsequence, validate_witness
+from lcps.core import CpsResult, is_palindrome, is_subsequence, validate_witness
 
 
 def test_is_palindrome_known_values():

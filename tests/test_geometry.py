@@ -1,24 +1,22 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import random_pair
-from lcps import (
-    CapacityExceeded,
-    InvalidWitness,
-    CpsResult,
+from lcps import CapacityExceeded, CpsResult, InvalidWitness, brute_force_lcps
+from lcps.geometry import (
+    DEFAULT_RECT_CAP,
     Match,
     Rect,
-    brute_force_lcps,
-    build_match_set,
     decompose_cps,
     enumerate_rectangles,
     is_chained,
     is_nested,
+    rect_count,
     rect_to_point,
 )
-from lcps.geometry import rect_count
-from lcps.match_index import build_occurrence_lists
+from lcps.match_index import MatchSet, SigmaMatchSet, build_match_set
 
 A = ord("a")
 
@@ -80,14 +78,34 @@ def test_rect_count_is_exact():
         (b"aaaa", b"aaaa"),
     ] + [random_pair(rng, max_len=12, max_sigma=5) for _ in range(200)]
     for x, y in pairs:
-        assert rect_count(build_occurrence_lists(x, y)) == len(enumerate_rectangles(build_match_set(x, y)))
+        ms = build_match_set(x, y)
+        assert rect_count(ms) == len(enumerate_rectangles(ms))
 
 
 def test_enumerate_cap():
-    ms = build_match_set(b"aaaa", b"aaaa")  # r_sigma = 16, bound 256
+    ms = build_match_set(b"aaaa", b"aaaa")  # C(4, 2)**2 + 4 * 4 = 52 rectangles
     with pytest.raises(CapacityExceeded):
-        enumerate_rectangles(ms, max_rects=255)
-    assert enumerate_rectangles(ms, max_rects=256)
+        enumerate_rectangles(ms, max_rects=51)
+    assert len(enumerate_rectangles(ms, max_rects=52)) == 52
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 2236), st.integers(0, 2236)), max_size=256))
+@example([(47, 47)])
+@example([(43, 52), (4, 4), (2, 3), (1, 3), (1, 1), (1, 1), (1, 1)])  # P = 1 199 681
+@example([(2, 2)] * 256)
+def test_default_cap_accepts_sum_r_squared_up_to_5m(counts):
+    # Per-symbol occurrence counts (x_s, y_s), cut to the longest prefix with
+    # sum((x_s * y_s)**2) <= 5 000 000: every such input has P < the cap.
+    kept, total = [], 0
+    for xs, ys in counts:
+        total += (xs * ys) ** 2
+        if total > 5_000_000:
+            break
+        kept.append((xs, ys))
+    ms = MatchSet(tuple(SigmaMatchSet(t, tuple(range(xs)), tuple(range(ys)))
+                        for t, (xs, ys) in enumerate(kept)), sum(xs * ys for xs, ys in kept))
+    assert rect_count(ms) < DEFAULT_RECT_CAP == 1_250_000
 
 
 def test_rect_to_point_mapping():
@@ -98,7 +116,7 @@ def test_rect_to_point_mapping():
     assert q.weight == 1
     r = rect_to_point(rect(2, 1, 4, 6))
     assert (r.a, r.b, r.c, r.d) == (2, 1, -4, -6)
-    assert r.source == rect(2, 1, 4, 6)
+    assert r.weight == 2
 
 
 def test_is_nested_known_values():

@@ -1,29 +1,33 @@
 import random
 
 from conftest import random_pair
-from lcps import Match, build_match_set, build_occurrence_lists
+from lcps.match_index import Match, build_match_set
+
+
+def occurrences(x, y):
+    return {s.sigma: (s.x_occ, s.y_occ) for s in build_match_set(x, y).per_sigma}
 
 
 def test_occurrence_lists_example():
-    occ = build_occurrence_lists(b"aab", b"aba")
-    assert occ == {
+    assert occurrences(b"aab", b"aba") == {
         ord("a"): ((1, 2), (1, 3)),
         ord("b"): ((3,), (2,)),
     }
 
 
 def test_occurrence_lists_one_side_empty():
-    assert build_occurrence_lists(b"", b"a") == {ord("a"): ((), (1,))}
+    assert occurrences(b"", b"a") == {}
+    assert occurrences(b"abz", b"ya") == {ord("a"): ((1,), (2,))}  # b, y, z one-sided
 
 
 def test_occurrence_lists_same_string():
-    assert build_occurrence_lists(b"zz", b"zz") == {ord("z"): ((1, 2), (1, 2))}
+    assert occurrences(b"zz", b"zz") == {ord("z"): ((1, 2), (1, 2))}
 
 
 def test_match_set_example():
     ms = build_match_set(b"aab", b"aba")
     assert ms.r == 5
-    by_sigma = {s.sigma: set(s.matches) for s in ms.per_sigma}
+    by_sigma = {s.sigma: {Match(i, j) for i in s.x_occ for j in s.y_occ} for s in ms.per_sigma}
     assert by_sigma == {
         ord("a"): {Match(1, 1), Match(1, 3), Match(2, 1), Match(2, 3)},
         ord("b"): {Match(3, 2)},
@@ -47,7 +51,6 @@ def test_r_sigma_is_product_of_occurrence_counts():
     ms = build_match_set(b"abab", b"bba")
     for s in ms.per_sigma:
         assert s.r_sigma == len(s.x_occ) * len(s.y_occ)
-        assert len(list(s.matches)) == s.r_sigma
     assert ms.r == sum(s.r_sigma for s in ms.per_sigma)
 
 
