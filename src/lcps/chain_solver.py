@@ -1,16 +1,20 @@
 """Maximum-weight chains of 4-D points, and the geometric LCPS solver on top.
 
-Points are swept in non-increasing order of their last coordinate, so the
-fourth dimension is enforced by processing time and each point only needs a
-strict-dominance maximum query over the other three. Points sharing a last
-coordinate are batched: the whole batch queries before any of it inserts,
-which keeps dominance strict in that dimension too.
+A point's chain value is its weight plus the largest value among the points
+that strictly dominate it in all four coordinates. Points are sorted once in
+non-increasing order of their last coordinate (the sweep order), so every
+dominating point comes earlier. An offline divide and conquer over that
+order (Bentley 1980) splits it only between groups of equal last
+coordinate, solves the left half, feeds the left half's final values to the
+right half, and then solves the right half. Each feed is a static strict
+3-D dominance maximum, answered by median splits on the first coordinate
+(leaving a 2-D problem) and on the second (leaving a 1-D one, solved by a
+sort and running maxima), with small pairs of sets compared directly.
+Everything runs on numpy columns; the chain itself is recovered afterwards
+by walking from the best point to a dominating point of the right value.
 
-The dominance index is three nested levels of binary indexed trees over
-offline rank-compressed coordinates. Each coordinate is ranked in descending
-order, turning "strictly greater than" in value space into a prefix of
-ranks, which a prefix-maximum tree answers in O(log) per level. Prefix
-maxima are sound here because a key's stored value only ever increases.
+DominanceMaxIndex is an online 3-D dominance index (three nested binary
+indexed trees) kept as a stand-alone structure; the solver does not use it.
 """
 
 from __future__ import annotations
@@ -20,14 +24,20 @@ from dataclasses import dataclass
 from itertools import groupby
 from typing import Any, Iterable, Optional
 
+import numpy as np
+
 from .core import EMPTY_RESULT, CpsResult, InvalidWitness, assemble_result, validate_witness
-from .geometry import DEFAULT_RECT_CAP, Point4, enumerate_rectangles, rect_to_point
-from .match_index import build_match_set
+from .geometry import DEFAULT_RECT_CAP, Point4, RectColumns, rect_columns, symbol_positions
+
+# A left and a right point set with at most this many pairs between them are
+# compared pair by pair in one broadcast; larger ones are split at a median.
+BROADCAST_CELLS = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
 class ChainNode:
-    """One point's best chain: total weight from here inward, and the next point in."""
+    """One link of a chain from longest_chain: the point, the chain's total
+    weight from here inward, and the next point in."""
 
     point: Point4
     value: int
@@ -131,56 +141,142 @@ def sort_points(points: Iterable[Point4]) -> list[list[Point4]]:
     return [list(group) for _, group in groupby(ordered, key=lambda p: p.d)]
 
 
+def dominance_max(left: tuple, values: np.ndarray, right: tuple) -> np.ndarray:
+    """For each right point, the largest value of a left point strictly
+    greater in every coordinate, or 0 when there is none.
+
+    left and right are equal-length tuples of coordinate columns; values
+    holds one non-negative value per left point. Sets too large to compare
+    pair by pair are split at the median of the first coordinate: the high
+    left points answer every low right point on the first coordinate
+    alone, which leaves a problem with one coordinate fewer. One coordinate
+    is a sort, a running maximum and a binary search.
+    """
+    n_left, n_right = len(values), len(right[0])
+    if n_left == 0 or n_right == 0:
+        return np.zeros(n_right, values.dtype)
+    if n_left * n_right <= BROADCAST_CELLS:
+        hit = left[0][:, None] > right[0]
+        for lk, rk in zip(left[1:], right[1:]):
+            hit &= lk[:, None] > rk
+        return np.where(hit, values[:, None], 0).max(axis=0)
+    if len(left) == 1:
+        order = np.argsort(left[0], kind="stable")
+        best = np.zeros(n_left + 1, values.dtype)
+        best[:n_left] = np.maximum.accumulate(values[order][::-1])[::-1]
+        return best[np.searchsorted(left[0][order], right[0], side="right")]
+    both = np.concatenate((left[0], right[0]))
+    t = np.partition(both, len(both) // 2)[len(both) // 2]
+    lowest = both.min()
+    if t == lowest:
+        above = both[both > lowest]
+        if not above.size:  # one value: nothing is strictly greater
+            return np.zeros(n_right, values.dtype)
+        t = above.min()
+    left_high, right_high = left[0] >= t, right[0] >= t
+    left_low, right_low = ~left_high, ~right_high
+    low = tuple(k[right_low] for k in right)
+    out = np.empty(n_right, values.dtype)
+    out[right_high] = dominance_max(tuple(k[left_high] for k in left), values[left_high],
+                                    tuple(k[right_high] for k in right))
+    out[right_low] = np.maximum(
+        dominance_max(tuple(k[left_low] for k in left), values[left_low], low),
+        dominance_max(tuple(k[left_high] for k in left[1:]), values[left_high], low[1:]))
+    return out
+
+
+def sweep_order(cols: RectColumns) -> np.ndarray:
+    """The permutation that sorts points by d non-increasing, then by a, b
+    and c ascending: the order of sort_points."""
+    return np.lexsort((cols.c, cols.b, cols.a, -cols.d))
+
+
+def chain_values(cols: RectColumns) -> np.ndarray:
+    """Each point's best chain value: its weight plus the largest chain
+    value among the points strictly dominating it in all four coordinates.
+
+    cols must be in sweep order (d non-increasing). The divide and conquer
+    splits at the middle group boundary, so its depth is log2 of the number
+    of distinct d values.
+    """
+    a, b, c, d, w = cols
+    inner = np.zeros_like(w)
+    bounds = [0, *(np.flatnonzero(d[1:] != d[:-1]) + 1).tolist(), len(d)]
+
+    def solve(g0: int, g1: int) -> None:
+        if g1 - g0 < 2:
+            return
+        gm = (g0 + g1) // 2
+        solve(g0, gm)
+        lo, mid, hi = bounds[g0], bounds[gm], bounds[g1]
+        fed = dominance_max((a[lo:mid], b[lo:mid], c[lo:mid]), w[lo:mid] + inner[lo:mid],
+                            (a[mid:hi], b[mid:hi], c[mid:hi]))
+        np.maximum(inner[mid:hi], fed, out=inner[mid:hi])
+        solve(gm, g1)
+
+    solve(0, len(bounds) - 1)
+    return w + inner
+
+
+def chain_walk(cols: RectColumns, value: np.ndarray) -> list[int]:
+    """Sweep-order indices of one maximum-weight chain, outermost first.
+
+    Starts at the first point of maximum value and steps to the first
+    earlier point that strictly dominates the current one and holds its
+    value minus its weight, one vector scan per step.
+    """
+    a, b, c, d, w = cols
+    p = int(np.argmax(value))
+    path = [p]
+    while value[p] > w[p]:
+        hit = ((a[:p] > a[p]) & (b[:p] > b[p]) & (c[:p] > c[p]) & (d[:p] > d[p])
+               & (value[:p] == value[p] - w[p]))
+        p = int(np.argmax(hit))
+        path.append(p)
+    return path
+
+
 def longest_chain(points: Iterable[Point4]) -> Optional[ChainNode]:
     """Node of maximum total weight over all chains, None for no points.
 
-    Every point in a batch queries before any of it inserts, so a chain step
-    is strict in all four coordinates. Ties keep the first node encountered
-    in sweep order.
+    A Point4 view of chain_values and chain_walk: a chain step is strict in
+    all four coordinates, and ties keep the first node in sweep order.
     """
     points = list(points)
-    groups = sort_points(points)
-    index = DominanceMaxIndex((p.a, p.b, p.c) for p in points)
-    best = None
-    for group in groups:
-        answers = [index.query_max_strict(p.a, p.b, p.c) for p in group]
-        nodes = []
-        for p, (value, succ) in zip(group, answers):
-            node = ChainNode(p, p.weight + value, succ)
-            nodes.append(node)
-            if best is None or node.value > best.value:
-                best = node
-        for node in nodes:
-            index.insert_or_raise(
-                (node.point.a, node.point.b, node.point.c), node.value, node
-            )
-    return best
+    if not points:
+        return None
+    cols = RectColumns(*np.array([(p.a, p.b, p.c, p.d, p.weight) for p in points]).T)
+    order = sweep_order(cols)
+    cols = RectColumns(*(col[order] for col in cols))
+    value = chain_values(cols)
+    node = None
+    for t in reversed(chain_walk(cols, value)):
+        node = ChainNode(points[order[t]], int(value[t]), node)
+    return node
 
 
 def geometric_lcps(x: bytes, y: bytes, max_rects: int = DEFAULT_RECT_CAP) -> CpsResult:
-    """LCPS via matches -> rectangles -> points -> maximum-weight chain.
+    """LCPS via occurrence positions -> rectangle columns -> maximum-weight chain.
 
-    The chain is walked outward-in: each weight-2 node contributes the symbol
-    at both ends, a trailing weight-1 node contributes the center character.
-    A point (a, b, c, d) has corners (a, b) and (-c, -d) and symbol x[a - 1].
-    Raises InvalidWitness if the assembled result does not embed into x and y.
+    The chain is walked outward-in: each weight-2 point contributes the
+    symbol at both ends, a trailing weight-1 point the center character. A
+    point (a, b, c, d) has corners (a, b) and (-c, -d) and symbol x[a - 1].
+    Raises CapacityExceeded when the exact rectangle count exceeds max_rects,
+    and InvalidWitness if the assembled result does not embed into x and y.
     """
-    # No name holds the rectangles, so they are freed once longest_chain has
-    # turned them into points.
-    best = longest_chain(
-        map(rect_to_point, enumerate_rectangles(build_match_set(x, y), max_rects)))
-    if best is None:
+    cols = rect_columns(*symbol_positions(x), *symbol_positions(y), max_rects)
+    if not len(cols.a):
         return EMPTY_RESULT
+    order = sweep_order(cols)
+    cols = RectColumns(*(col[order] for col in cols))
+    path = chain_walk(cols, chain_values(cols))
     pairs = []
     center = None
-    node = best
-    while node is not None:
-        p = node.point
-        if p.weight == 2:
-            pairs.append((x[p.a - 1], p.a, -p.c, p.b, -p.d))
+    for a, b, c, d, w in zip(*(col[path].tolist() for col in cols)):
+        if w == 2:
+            pairs.append((x[a - 1], a, -c, b, -d))
         else:
-            center = (x[p.a - 1], p.a, p.b)
-        node = node.successor
+            center = (x[a - 1], a, b)
     result = assemble_result(pairs, center)
     if not validate_witness(result, x, y):
         raise InvalidWitness(f"chain walk produced an invalid witness {result}")

@@ -6,16 +6,24 @@ rectangle strictly inside another means the inner pair of palindrome ends
 sits strictly between the outer pair in both inputs, so palindrome length
 equals total weight along a chain of nested rectangles. Negating the upper
 corner turns strict nesting into strict 4-way dominance of points, which is
-what the chain solver consumes. rect_count gives the exact number of
-rectangles from the match set's occurrence counts alone; it is the one
-count the size cap and the CLI's solver choice use.
+what the chain solver consumes.
+
+rect_columns builds every rectangle at once as int32 point columns from
+per-symbol occurrence positions, by vectorised cross products over all
+symbols together. enumerate_rectangles and rect_to_point are object views
+of the same rectangles. rect_total gives the exact
+rectangle count from occurrence counts alone; it is the one count the size
+cap (checked before anything is built) and the CLI's solver choice use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product, starmap
+from itertools import chain
 from math import comb
+from typing import Iterable, NamedTuple
+
+import numpy as np
 
 from .core import CapacityExceeded, CpsResult, InvalidWitness, validate_witness
 from .match_index import Match, MatchSet
@@ -56,34 +64,114 @@ class Point4:
     weight: int
 
 
+class RectColumns(NamedTuple):
+    """Rectangles as equal-length integer columns (int32 from rect_columns),
+    one row per rectangle: the point (a, b, c, d) = (i, j, -k, -l) of
+    corners (i, j) and (k, l), and the weight w."""
+
+    a: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+    d: np.ndarray
+    w: np.ndarray
+
+
+def rect_total(counts: Iterable[tuple[int, int]]) -> int:
+    """Exact number of rectangles from per-symbol occurrence counts (x_s, y_s).
+
+    A symbol gives C(x_s, 2) * C(y_s, 2) pairs plus x_s * y_s degenerates.
+    """
+    return sum(comb(xs, 2) * comb(ys, 2) + xs * ys for xs, ys in counts)
+
+
+def rect_count(ms: MatchSet) -> int:
+    """Exact number of rectangles enumerate_rectangles builds, in O(sigma)."""
+    return rect_total((len(s.x_occ), len(s.y_occ)) for s in ms.per_sigma)
+
+
+def symbol_positions(s: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """The 1-based positions of s grouped by symbol, ascending within each
+    symbol, and the occurrence count of each of the 256 symbols."""
+    codes = np.frombuffer(s, dtype=np.uint8)
+    pos = np.argsort(codes, kind="stable").astype(np.int32) + 1
+    return pos, np.bincount(codes, minlength=256)
+
+
+def _ranges(counts: np.ndarray) -> np.ndarray:
+    """The concatenation of arange(n) for every n in counts."""
+    ends = np.cumsum(counts)
+    return np.arange(ends[-1] if len(ends) else 0) - np.repeat(ends - counts, counts)
+
+
+def _cross(na: np.ndarray, nb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs into two lists cut into consecutive groups of na and nb
+    items: every (item of A, item of B) pair of each group, group by group."""
+    per = na * nb
+    t = _ranges(per)
+    nb_rep = np.repeat(nb, per)
+    return (np.repeat(np.cumsum(na) - na, per) + t // nb_rep,
+            np.repeat(np.cumsum(nb) - nb, per) + t % nb_rep)
+
+
+def _pairs(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (s, t), s < t, inside each of consecutive groups of n
+    items, group by group; group g has C(n[g], 2) of them."""
+    offset = _ranges(n)
+    later = np.repeat(n, n) - offset - 1
+    s = np.repeat(np.arange(len(offset)), later)
+    return s, s + 1 + _ranges(later)
+
+
+def rect_columns(x_pos: np.ndarray, x_count: np.ndarray, y_pos: np.ndarray,
+                 y_count: np.ndarray, max_rects: int = DEFAULT_RECT_CAP) -> RectColumns:
+    """Every rectangle, as columns, from per-symbol occurrence positions.
+
+    x_pos holds x's 1-based positions grouped by symbol and x_count how many
+    each symbol has, in one symbol order that y_pos and y_count share
+    (symbol_positions gives this). Symbols with no occurrence on one side
+    have no rectangles. Raises CapacityExceeded, before building anything,
+    when the exact count exceeds max_rects. The strict pairs come first,
+    symbol by symbol, then the degenerates.
+    """
+    both = np.flatnonzero((x_count > 0) & (y_count > 0))
+    cx, cy = x_count[both], y_count[both]
+    count = rect_total(zip(cx.tolist(), cy.tolist()))
+    if count > max_rects:
+        raise CapacityExceeded(f"{count} rectangles exceed the cap of {max_rects}")
+    # The positions of the symbols present on both sides, grouped by symbol.
+    xs = x_pos[np.repeat((np.cumsum(x_count) - x_count)[both], cx) + _ranges(cx)]
+    ys = y_pos[np.repeat((np.cumsum(y_count) - y_count)[both], cy) + _ranges(cy)]
+    xi, xk = _pairs(cx)
+    yj, yl = _pairs(cy)
+    u, v = _cross(cx * (cx - 1) // 2, cy * (cy - 1) // 2)
+    di, dj = _cross(cx, cy)
+    cols = np.empty((5, count), np.int32)
+    cols[0] = np.concatenate((xs[xi[u]], xs[di]))
+    cols[1] = np.concatenate((ys[yj[v]], ys[dj]))
+    cols[2] = np.concatenate((xs[xk[u]], xs[di]))
+    cols[3] = np.concatenate((ys[yl[v]], ys[dj]))
+    cols[4, :len(u)], cols[4, len(u):] = 2, 1
+    np.negative(cols[2:4], out=cols[2:4])
+    return RectColumns(*cols)
+
+
 def enumerate_rectangles(ms: MatchSet, max_rects: int = DEFAULT_RECT_CAP) -> list[Rect]:
     """All strictly ordered same-symbol match pairs, plus one degenerate per match.
 
     Pairs sharing an x or a y position are never emitted: a palindrome cannot
-    reuse one input position for two output characters. Raises
-    CapacityExceeded (before building anything) when the exact count
-    rect_count(ms) exceeds max_rects.
+    reuse one input position for two output characters. An object view of
+    rect_columns; raises CapacityExceeded (before building anything) when
+    the exact count rect_count(ms) exceeds max_rects.
     """
-    count = rect_count(ms)
-    if count > max_rects:
-        raise CapacityExceeded(f"{count} rectangles exceed the cap of {max_rects}")
-    rects = []
-    for s in ms.per_sigma:
-        for i, k in combinations(s.x_occ, 2):
-            for j, l in combinations(s.y_occ, 2):
-                rects.append(Rect(s.sigma, Match(i, j), Match(k, l), 2))
-        for mt in starmap(Match, product(s.x_occ, s.y_occ)):
-            rects.append(Rect(s.sigma, mt, mt, 1))
-    return rects
+    def positions(occ: list[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]:
+        return (np.fromiter(chain.from_iterable(occ), np.int32),
+                np.array([len(o) for o in occ], dtype=np.int64))
 
-
-def rect_count(ms: MatchSet) -> int:
-    """Exact number of rectangles enumerate_rectangles builds, in O(sigma).
-
-    A symbol with x_s and y_s occurrences gives C(x_s, 2) * C(y_s, 2) pairs
-    plus x_s * y_s degenerates.
-    """
-    return sum(comb(len(s.x_occ), 2) * comb(len(s.y_occ), 2) + s.r_sigma for s in ms.per_sigma)
+    cols = rect_columns(*positions([s.x_occ for s in ms.per_sigma]),
+                        *positions([s.y_occ for s in ms.per_sigma]), max_rects)
+    sigma_at = {i: s.sigma for s in ms.per_sigma for i in s.x_occ}
+    return [Rect(sigma_at[a], Match(a, b), Match(-c, -d), w)
+            for a, b, c, d, w in zip(*(col.tolist() for col in cols))]
 
 
 def rect_to_point(r: Rect) -> Point4:

@@ -1,5 +1,7 @@
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
 import lcps.chain_solver as chain_solver
@@ -13,8 +15,17 @@ from lcps import (
     geometric_lcps,
     validate_witness,
 )
-from lcps.chain_solver import DominanceMaxIndex, longest_chain, sort_points
-from lcps.geometry import Match, Rect, enumerate_rectangles, is_chained, rect_to_point
+from lcps.bench import GenSpec, generate
+from lcps.chain_solver import DominanceMaxIndex, dominance_max, longest_chain, sort_points
+from lcps.geometry import (
+    Match,
+    Point4,
+    Rect,
+    enumerate_rectangles,
+    is_chained,
+    rect_count,
+    rect_to_point,
+)
 from lcps.match_index import build_match_set
 
 
@@ -151,6 +162,47 @@ def test_longest_chain_matches_pairwise_dp():
         assert got == chain_value_by_pairwise_dp(pts)
 
 
+def tied_points(rng, count):
+    # Coordinates from a few values, one of a, b, c held constant, and d
+    # from fewer still, so most comparisons meet a tie.
+    flat = rng.randrange(3)
+    pts = []
+    for _ in range(count):
+        abc = [rng.randint(1, 4) for _ in range(3)]
+        abc[flat] = 2
+        pts.append(Point4(*abc, rng.randint(-3, -1), rng.choice((1, 2))))
+    return pts
+
+
+@pytest.mark.parametrize("cutoff", [0, 1, chain_solver.BROADCAST_CELLS])
+def test_longest_chain_matches_pairwise_dp_under_ties(monkeypatch, cutoff):
+    # Cutoffs 0 and 1 send even tiny sets through the median splits and
+    # the one-coordinate sort.
+    monkeypatch.setattr(chain_solver, "BROADCAST_CELLS", cutoff)
+    rng = random.Random(4141)
+    for _ in range(80):
+        pts = tied_points(rng, rng.randint(0, 60)) + random_points(rng, rng.randint(0, 20), hi=5)
+        node = longest_chain(pts)
+        assert (node.value if node else 0) == chain_value_by_pairwise_dp(pts)
+
+
+@pytest.mark.parametrize("cutoff", [0, 1])
+def test_dominance_max_matches_naive_scan(monkeypatch, cutoff):
+    monkeypatch.setattr(chain_solver, "BROADCAST_CELLS", cutoff)
+    rng = random.Random(99)
+    for _ in range(100):
+        dims = rng.randint(1, 3)
+        left = np.array([[rng.randint(0, 5) for _ in range(dims)]
+                         for _ in range(rng.randint(0, 30))], dtype=np.int32).reshape(-1, dims)
+        right = np.array([[rng.randint(0, 5) for _ in range(dims)]
+                          for _ in range(rng.randint(0, 30))], dtype=np.int32).reshape(-1, dims)
+        values = np.array([rng.randint(1, 9) for _ in left], dtype=np.int32)
+        got = dominance_max(tuple(left.T), values, tuple(right.T))
+        want = [max((v for p, v in zip(left, values) if (p > q).all()), default=0)
+                for q in right]
+        assert got.tolist() == want
+
+
 def test_chain_traceback_is_sound():
     rng = random.Random(161)
     for _ in range(60):
@@ -203,6 +255,24 @@ def test_geometric_rect_cap_declines_long_runs():
     # C(100, 2)**2 + 100 * 100 = 24 512 500 rectangles, far over the cap
     with pytest.raises(CapacityExceeded):
         geometric_lcps(b"a" * 100, b"a" * 100, max_rects=9_999)
+
+
+def test_geometric_all_ties_stays_shallow():
+    # P = 36 500 rectangles on 20 distinct values per coordinate
+    assert geometric_lcps(b"a" * 20, b"a" * 20).length == 20
+
+
+def test_geometric_peak_memory_per_rectangle():
+    x, y = generate(GenSpec(40, 40, 2, 1))
+    count = rect_count(build_match_set(x, y))
+    assert count >= 50_000
+    tracemalloc.start()
+    try:
+        assert geometric_lcps(x, y).length == 27
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 200 * count
 
 
 def test_geometric_agrees_with_dp_past_oracle_limit():

@@ -1,4 +1,6 @@
 import random
+from collections import Counter
+from itertools import combinations, product
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -65,6 +67,21 @@ def test_enumerate_never_shares_a_coordinate():
                 assert r.lower.i < r.upper.i and r.lower.j < r.upper.j
             else:
                 assert r.lower == r.upper
+
+
+def test_enumerate_matches_literal_enumeration():
+    rng = random.Random(31)
+    for _ in range(150):
+        x, y = random_pair(rng, max_len=12, max_sigma=5)
+        want = Counter()
+        for (i, a), (k, b) in combinations(enumerate(x, 1), 2):
+            for (j, c), (l, e) in combinations(enumerate(y, 1), 2):
+                if a == b == c == e:
+                    want[rect(i, j, k, l, a)] += 1
+        for (i, a), (j, c) in product(enumerate(x, 1), enumerate(y, 1)):
+            if a == c:
+                want[rect(i, j, i, j, a)] += 1
+        assert Counter(enumerate_rectangles(build_match_set(x, y))) == want
 
 
 def test_rect_count_is_exact():
