@@ -10,8 +10,9 @@ right half, and then solves the right half. Each feed is a static strict
 3-D dominance maximum, answered by median splits on the first coordinate
 (leaving a 2-D problem) and on the second (leaving a 1-D one, solved by a
 sort and running maxima), with small pairs of sets compared directly.
-Everything runs on numpy columns; the chain itself is recovered afterwards
-by walking from the best point to a dominating point of the right value.
+Everything runs on numpy columns. best_chain runs the whole sequence (sweep
+order, chain values, then a walk from the best point to a dominating point
+of the right value) for both longest_chain and geometric_lcps.
 
 DominanceMaxIndex is an online 3-D dominance index (three nested binary
 indexed trees) kept as a stand-alone structure; the solver does not use it.
@@ -27,7 +28,8 @@ from typing import Any, Iterable, Optional
 import numpy as np
 
 from .core import EMPTY_RESULT, CpsResult, InvalidWitness, assemble_result, validate_witness
-from .geometry import DEFAULT_RECT_CAP, Point4, RectColumns, rect_columns, symbol_positions
+from .geometry import DEFAULT_RECT_CAP, Point4, RectColumns, rect_columns
+from .match_index import build_match_set
 
 # A left and a right point set with at most this many pairs between them are
 # compared pair by pair in one broadcast; larger ones are split at a median.
@@ -218,14 +220,17 @@ def chain_values(cols: RectColumns) -> np.ndarray:
     return w + inner
 
 
-def chain_walk(cols: RectColumns, value: np.ndarray) -> list[int]:
-    """Sweep-order indices of one maximum-weight chain, outermost first.
+def best_chain(cols: RectColumns) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of cols on one maximum-weight chain, outermost first, and each
+    row's chain value. cols must have at least one row.
 
-    Starts at the first point of maximum value and steps to the first
-    earlier point that strictly dominates the current one and holds its
-    value minus its weight, one vector scan per step.
+    Computes chain_values in sweep order, then walks from the first point of
+    maximum value to the first earlier point that strictly dominates the
+    current one and holds its value minus its weight, one scan per step.
     """
-    a, b, c, d, w = cols
+    order = sweep_order(cols)
+    a, b, c, d, w = sorted_cols = RectColumns(*(col[order] for col in cols))
+    value = chain_values(sorted_cols)
     p = int(np.argmax(value))
     path = [p]
     while value[p] > w[p]:
@@ -233,30 +238,28 @@ def chain_walk(cols: RectColumns, value: np.ndarray) -> list[int]:
                & (value[:p] == value[p] - w[p]))
         p = int(np.argmax(hit))
         path.append(p)
-    return path
+    return order[path], value[path]
 
 
 def longest_chain(points: Iterable[Point4]) -> Optional[ChainNode]:
     """Node of maximum total weight over all chains, None for no points.
 
-    A Point4 view of chain_values and chain_walk: a chain step is strict in
-    all four coordinates, and ties keep the first node in sweep order.
+    A Point4 view of best_chain: a chain step is strict in all four
+    coordinates, and ties keep the first node in sweep order.
     """
     points = list(points)
     if not points:
         return None
-    cols = RectColumns(*np.array([(p.a, p.b, p.c, p.d, p.weight) for p in points]).T)
-    order = sweep_order(cols)
-    cols = RectColumns(*(col[order] for col in cols))
-    value = chain_values(cols)
+    rows, values = best_chain(RectColumns(*np.array([(p.a, p.b, p.c, p.d, p.weight)
+                                                     for p in points]).T))
     node = None
-    for t in reversed(chain_walk(cols, value)):
-        node = ChainNode(points[order[t]], int(value[t]), node)
+    for t, v in zip(reversed(rows.tolist()), reversed(values.tolist())):
+        node = ChainNode(points[t], v, node)
     return node
 
 
 def geometric_lcps(x: bytes, y: bytes, max_rects: int = DEFAULT_RECT_CAP) -> CpsResult:
-    """LCPS via occurrence positions -> rectangle columns -> maximum-weight chain.
+    """LCPS via match set -> rectangle columns -> maximum-weight chain.
 
     The chain is walked outward-in: each weight-2 point contributes the
     symbol at both ends, a trailing weight-1 point the center character. A
@@ -264,15 +267,13 @@ def geometric_lcps(x: bytes, y: bytes, max_rects: int = DEFAULT_RECT_CAP) -> Cps
     Raises CapacityExceeded when the exact rectangle count exceeds max_rects,
     and InvalidWitness if the assembled result does not embed into x and y.
     """
-    cols = rect_columns(*symbol_positions(x), *symbol_positions(y), max_rects)
+    cols = rect_columns(build_match_set(x, y), max_rects)
     if not len(cols.a):
         return EMPTY_RESULT
-    order = sweep_order(cols)
-    cols = RectColumns(*(col[order] for col in cols))
-    path = chain_walk(cols, chain_values(cols))
+    rows, _ = best_chain(cols)
     pairs = []
     center = None
-    for a, b, c, d, w in zip(*(col[path].tolist() for col in cols)):
+    for a, b, c, d, w in zip(*(col[rows].tolist() for col in cols)):
         if w == 2:
             pairs.append((x[a - 1], a, -c, b, -d))
         else:

@@ -45,12 +45,6 @@ def is_palindrome(z: bytes) -> bool:
     return z == z[::-1]
 
 
-def is_subsequence(z: bytes, x: bytes) -> bool:
-    """True iff z can be obtained from x by deleting zero or more characters."""
-    it = iter(x)
-    return all(c in it for c in z)
-
-
 def embed_greedy(z: bytes, x: bytes) -> Optional[tuple[int, ...]]:
     """Leftmost 1-based positions embedding z into x in order, or None."""
     out = []

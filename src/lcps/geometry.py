@@ -8,18 +8,17 @@ equals total weight along a chain of nested rectangles. Negating the upper
 corner turns strict nesting into strict 4-way dominance of points, which is
 what the chain solver consumes.
 
-rect_columns builds every rectangle at once as int32 point columns from
-per-symbol occurrence positions, by vectorised cross products over all
+rect_columns builds every rectangle at once as int32 point columns from a
+match set's occurrence arrays, by vectorised cross products over all
 symbols together. enumerate_rectangles and rect_to_point are object views
-of the same rectangles. rect_total gives the exact
-rectangle count from occurrence counts alone; it is the one count the size
-cap (checked before anything is built) and the CLI's solver choice use.
+of the same rectangles. rect_count gives the exact rectangle count from the
+occurrence counts alone; it is the one count the size cap (checked before
+anything is built) and the CLI's solver choice use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from math import comb
 from typing import Iterable, NamedTuple
 
@@ -85,16 +84,9 @@ def rect_total(counts: Iterable[tuple[int, int]]) -> int:
 
 
 def rect_count(ms: MatchSet) -> int:
-    """Exact number of rectangles enumerate_rectangles builds, in O(sigma)."""
-    return rect_total((len(s.x_occ), len(s.y_occ)) for s in ms.per_sigma)
-
-
-def symbol_positions(s: bytes) -> tuple[np.ndarray, np.ndarray]:
-    """The 1-based positions of s grouped by symbol, ascending within each
-    symbol, and the occurrence count of each of the 256 symbols."""
-    codes = np.frombuffer(s, dtype=np.uint8)
-    pos = np.argsort(codes, kind="stable").astype(np.int32) + 1
-    return pos, np.bincount(codes, minlength=256)
+    """Exact number of rectangles rect_columns builds, in O(sigma)."""
+    both = (ms.x_count > 0) & (ms.y_count > 0)
+    return rect_total(zip(ms.x_count[both].tolist(), ms.y_count[both].tolist()))
 
 
 def _ranges(counts: np.ndarray) -> np.ndarray:
@@ -122,25 +114,22 @@ def _pairs(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return s, s + 1 + _ranges(later)
 
 
-def rect_columns(x_pos: np.ndarray, x_count: np.ndarray, y_pos: np.ndarray,
-                 y_count: np.ndarray, max_rects: int = DEFAULT_RECT_CAP) -> RectColumns:
-    """Every rectangle, as columns, from per-symbol occurrence positions.
+def rect_columns(ms: MatchSet, max_rects: int = DEFAULT_RECT_CAP) -> RectColumns:
+    """Every rectangle, as columns, from a match set's occurrence arrays.
 
-    x_pos holds x's 1-based positions grouped by symbol and x_count how many
-    each symbol has, in one symbol order that y_pos and y_count share
-    (symbol_positions gives this). Symbols with no occurrence on one side
-    have no rectangles. Raises CapacityExceeded, before building anything,
-    when the exact count exceeds max_rects. The strict pairs come first,
-    symbol by symbol, then the degenerates.
+    Symbols with no occurrence on one side have no rectangles. Raises
+    CapacityExceeded, before building anything, when the exact count
+    rect_count(ms) exceeds max_rects. The strict pairs come first, symbol
+    by symbol, then the degenerates.
     """
-    both = np.flatnonzero((x_count > 0) & (y_count > 0))
-    cx, cy = x_count[both], y_count[both]
-    count = rect_total(zip(cx.tolist(), cy.tolist()))
+    count = rect_count(ms)
     if count > max_rects:
         raise CapacityExceeded(f"{count} rectangles exceed the cap of {max_rects}")
+    both = np.flatnonzero((ms.x_count > 0) & (ms.y_count > 0))
+    cx, cy = ms.x_count[both], ms.y_count[both]
     # The positions of the symbols present on both sides, grouped by symbol.
-    xs = x_pos[np.repeat((np.cumsum(x_count) - x_count)[both], cx) + _ranges(cx)]
-    ys = y_pos[np.repeat((np.cumsum(y_count) - y_count)[both], cy) + _ranges(cy)]
+    xs = ms.x_pos[np.repeat((np.cumsum(ms.x_count) - ms.x_count)[both], cx) + _ranges(cx)]
+    ys = ms.y_pos[np.repeat((np.cumsum(ms.y_count) - ms.y_count)[both], cy) + _ranges(cy)]
     xi, xk = _pairs(cx)
     yj, yl = _pairs(cy)
     u, v = _cross(cx * (cx - 1) // 2, cy * (cy - 1) // 2)
@@ -160,18 +149,13 @@ def enumerate_rectangles(ms: MatchSet, max_rects: int = DEFAULT_RECT_CAP) -> lis
 
     Pairs sharing an x or a y position are never emitted: a palindrome cannot
     reuse one input position for two output characters. An object view of
-    rect_columns; raises CapacityExceeded (before building anything) when
-    the exact count rect_count(ms) exceeds max_rects.
+    rect_columns(ms, max_rects), which raises CapacityExceeded.
     """
-    def positions(occ: list[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]:
-        return (np.fromiter(chain.from_iterable(occ), np.int32),
-                np.array([len(o) for o in occ], dtype=np.int64))
-
-    cols = rect_columns(*positions([s.x_occ for s in ms.per_sigma]),
-                        *positions([s.y_occ for s in ms.per_sigma]), max_rects)
-    sigma_at = {i: s.sigma for s in ms.per_sigma for i in s.x_occ}
-    return [Rect(sigma_at[a], Match(a, b), Match(-c, -d), w)
-            for a, b, c, d, w in zip(*(col.tolist() for col in cols))]
+    cols = rect_columns(ms, max_rects)
+    symbol = np.zeros(len(ms.x_pos) + 1, np.int64)  # symbol[i]: the symbol x[i - 1]
+    symbol[ms.x_pos] = np.repeat(np.arange(256), ms.x_count)
+    return [Rect(s, Match(a, b), Match(-c, -d), w)
+            for s, a, b, c, d, w in zip(symbol[cols.a].tolist(), *(col.tolist() for col in cols))]
 
 
 def rect_to_point(r: Rect) -> Point4:

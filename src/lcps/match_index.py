@@ -1,14 +1,18 @@
 """Per-symbol match sets between two byte strings.
 
 A match is a position pair (i, j) with x[i] == y[j] (1-based). Matches are
-grouped by symbol and kept as occurrence-list cross products rather than flat
-lists, since the total count can be quadratic in the input lengths.
+never listed, since their count can be quadratic in the input lengths: each
+input's positions are kept grouped by symbol, with one occurrence count per
+each of the 256 symbols, and a symbol's matches are the cross product of
+its positions in x and in y. One numpy pass per input builds them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import NamedTuple
+
+import numpy as np
 
 
 class Match(NamedTuple):
@@ -29,29 +33,46 @@ class SigmaMatchSet:
         return len(self.x_occ) * len(self.y_occ)
 
 
-@dataclass(frozen=True)
-class MatchSet:
-    """Per-symbol match sets for every symbol present in both inputs, in
-    ascending symbol order; r is the total match count."""
+class MatchSet(NamedTuple):
+    """Read-only occurrence arrays of both inputs.
 
-    per_sigma: tuple[SigmaMatchSet, ...]
-    r: int
+    x_pos holds x's 1-based positions (int32) grouped by symbol in ascending
+    symbol order, ascending within each symbol, and x_count (length 256) how
+    many each symbol has; y_pos and y_count are the same for y.
+    """
+
+    x_pos: np.ndarray
+    x_count: np.ndarray
+    y_pos: np.ndarray
+    y_count: np.ndarray
+
+    @property
+    def r(self) -> int:
+        """The total match count."""
+        return int(self.x_count @ self.y_count)
+
+    @property
+    def per_sigma(self) -> tuple[SigmaMatchSet, ...]:
+        """The match set of each symbol in both inputs, by ascending symbol."""
+        x_occ = np.split(self.x_pos, np.cumsum(self.x_count)[:-1])
+        y_occ = np.split(self.y_pos, np.cumsum(self.y_count)[:-1])
+        return tuple(SigmaMatchSet(s, tuple(xo.tolist()), tuple(yo.tolist()))
+                     for s, (xo, yo) in enumerate(zip(x_occ, y_occ)) if xo.size and yo.size)
 
 
 def build_match_set(x: bytes, y: bytes) -> MatchSet:
-    """Group all matches by symbol, from one pass over each input.
+    """Group both inputs' positions by symbol, from one numpy pass over each.
 
-    Stores only the O(n + m) sorted occurrence lists; matches are never
-    materialized, so no input is too large here. A symbol found in one input
-    only has no matches and is left out. The geometric solver's rectangle
-    cap, checked against the exact count before anything is built, bounds
-    what comes after.
+    Stores only O(n + m) positions; matches are never materialized, so no
+    input is too large here. The geometric solver's rectangle cap, checked
+    against the exact count before anything is built, bounds what comes
+    after.
     """
-    occ: dict[int, tuple[list[int], list[int]]] = {}
-    for pos, ch in enumerate(x, start=1):
-        occ.setdefault(ch, ([], []))[0].append(pos)
-    for pos, ch in enumerate(y, start=1):
-        occ.setdefault(ch, ([], []))[1].append(pos)
-    per = tuple(SigmaMatchSet(ch, tuple(xs), tuple(ys))
-                for ch, (xs, ys) in sorted(occ.items()) if xs and ys)
-    return MatchSet(per, sum(s.r_sigma for s in per))
+    arrays = []
+    for s in (x, y):
+        codes = np.frombuffer(s, dtype=np.uint8)
+        arrays += (np.argsort(codes, kind="stable").astype(np.int32) + 1,
+                   np.bincount(codes, minlength=256))
+    for a in arrays:
+        a.setflags(write=False)
+    return MatchSet(*arrays)

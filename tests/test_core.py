@@ -1,7 +1,7 @@
 from hypothesis import given
 
 from conftest import byte_seqs
-from lcps.core import CpsResult, is_palindrome, is_subsequence, validate_witness
+from lcps.core import CpsResult, is_palindrome, validate_witness
 
 
 def test_is_palindrome_known_values():
@@ -10,18 +10,6 @@ def test_is_palindrome_known_values():
     assert not is_palindrome(b"ab")
     assert is_palindrome(b"abba")
     assert not is_palindrome(b"abca")
-
-
-def test_is_subsequence_known_values():
-    assert is_subsequence(b"", b"abc")
-    assert is_subsequence(b"ac", b"abc")
-    assert not is_subsequence(b"ca", b"abc")
-    assert not is_subsequence(b"aa", b"a")
-
-
-@given(byte_seqs())
-def test_is_subsequence_reflexive(x):
-    assert is_subsequence(x, x)
 
 
 @given(byte_seqs())

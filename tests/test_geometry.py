@@ -17,8 +17,9 @@ from lcps.geometry import (
     is_nested,
     rect_count,
     rect_to_point,
+    rect_total,
 )
-from lcps.match_index import MatchSet, SigmaMatchSet, build_match_set
+from lcps.match_index import build_match_set
 
 A = ord("a")
 
@@ -120,9 +121,7 @@ def test_default_cap_accepts_sum_r_squared_up_to_5m(counts):
         if total > 5_000_000:
             break
         kept.append((xs, ys))
-    ms = MatchSet(tuple(SigmaMatchSet(t, tuple(range(xs)), tuple(range(ys)))
-                        for t, (xs, ys) in enumerate(kept)), sum(xs * ys for xs, ys in kept))
-    assert rect_count(ms) < DEFAULT_RECT_CAP == 1_250_000
+    assert rect_total(kept) < DEFAULT_RECT_CAP == 1_250_000
 
 
 def test_rect_to_point_mapping():

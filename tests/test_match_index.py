@@ -1,6 +1,9 @@
 import random
 
+import pytest
+
 from conftest import random_pair
+from lcps.geometry import enumerate_rectangles, rect_count
 from lcps.match_index import Match, build_match_set
 
 
@@ -76,3 +79,34 @@ def test_mean_r_tracks_density_estimate():
     mean = total / trials
     expected = n * m / sigma
     assert abs(mean - expected) <= 0.2 * expected
+
+
+def literal_grouping(x, y):
+    occ = {}
+    for pos, ch in enumerate(x, start=1):
+        occ.setdefault(ch, ([], []))[0].append(pos)
+    for pos, ch in enumerate(y, start=1):
+        occ.setdefault(ch, ([], []))[1].append(pos)
+    return [(ch, tuple(xs), tuple(ys)) for ch, (xs, ys) in sorted(occ.items()) if xs and ys]
+
+
+def test_match_set_over_every_octet():
+    rng = random.Random(256)
+    pairs = [(b"\x00\xff\x00", b"\xff\x00\xff\xff")]
+    while len(pairs) < 200:
+        alphabet = rng.sample(range(256), rng.choice((1, 2, 3, 5, 256)))
+        max_len = 16 + len(alphabet) // 4  # short where symbols repeat most
+        pairs.append(tuple(bytes(rng.choices(alphabet, k=rng.randint(0, max_len))) for _ in "xy"))
+    assert set().union(*(x + y for x, y in pairs)) == set(range(256))
+    for x, y in pairs:
+        ms = build_match_set(x, y)
+        assert [(s.sigma, s.x_occ, s.y_occ) for s in ms.per_sigma] == literal_grouping(x, y)
+        assert ms.r == sum(cx == cy for cx in x for cy in y)
+        assert rect_count(ms) == len(enumerate_rectangles(ms))
+
+
+def test_match_set_is_read_only():
+    ms = build_match_set(b"ab\xff", b"\x00b")
+    for arr in ms:
+        with pytest.raises(ValueError):
+            arr[:1] = 7
