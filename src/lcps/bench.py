@@ -7,10 +7,10 @@ import statistics
 import time
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .chain_solver import geometric_lcps
-from .core import CapacityExceeded, InputTooLarge
+from .core import CapacityExceeded, CpsResult, InputTooLarge, InvalidWitness, validate_witness
 from .dp_solver import DEFAULT_CELL_CAP, dp_lcps
 from .geometry import DEFAULT_RECT_CAP
 from .match_index import build_match_set
@@ -57,6 +57,42 @@ def generate(spec: GenSpec) -> tuple[bytes, bytes]:
     return x, y
 
 
+class SolverRun(NamedTuple):
+    """A solver's result, median ms and witness check, or its size-cap error."""
+
+    name: str
+    result: CpsResult | None
+    ms: float | None
+    valid: bool
+    declined: Exception | None
+
+    def line(self) -> str:
+        """The one-line report of this run, as compare prints it."""
+        if self.declined is not None:
+            return f"{self.name}: declined ({type(self.declined).__name__}: {self.declined})"
+        return (f"{self.name}: length={self.result.length} palindrome="
+                f"{self.result.z.decode('latin-1')} valid={self.valid} ms={self.ms:.3f}")
+
+    def check(self) -> None:
+        """Raise InvalidWitness if the solver answered with an invalid witness."""
+        if self.declined is None and not self.valid:
+            raise InvalidWitness(f"{self.name} produced an invalid witness {self.result}")
+
+
+def run_solver(name: str, caps, x: bytes, y: bytes, repetitions: int = 1) -> SolverRun:
+    """Call SOLVERS[name] repetitions times on (x, y) and validate the last
+    result; CapacityExceeded or InputTooLarge makes the run a decline."""
+    times = []
+    try:
+        for _ in range(repetitions):
+            t0 = time.perf_counter()
+            result = SOLVERS[name](caps, x, y)
+            times.append((time.perf_counter() - t0) * 1000.0)
+    except (CapacityExceeded, InputTooLarge) as exc:
+        return SolverRun(name, None, None, False, exc)
+    return SolverRun(name, result, statistics.median(times), validate_witness(result, x, y), None)
+
+
 def run_suite(
     specs: Iterable[GenSpec], algos: Iterable[str], repetitions: int = 5
 ) -> list[dict]:
@@ -66,38 +102,22 @@ def run_suite(
     and a status: "ok", or the capacity error class name when a solver
     declined the instance. Lengths of all solvers that ran on one spec must
     agree; a mismatch raises RuntimeError since it means a solver is wrong.
+    Then every witness must validate, or InvalidWitness is raised.
     """
     algos = list(algos)
     rows = []
     for spec in specs:
         x, y = generate(spec)
         r = build_match_set(x, y).r
-        lengths = {}
-        for algo in algos:
-            fn = SOLVERS[algo]
-            row = {
-                "n": spec.n,
-                "m": spec.m,
-                "s": spec.alphabet_size,
-                "seed": spec.seed,
-                "algo": algo,
-                "r": r,
-            }
-            try:
-                times = []
-                for _ in range(repetitions):
-                    t0 = time.perf_counter()
-                    result = fn(DEFAULT_CAPS, x, y)
-                    times.append((time.perf_counter() - t0) * 1000.0)
-                row.update(
-                    length=result.length,
-                    median_ms=statistics.median(times),
-                    status="ok",
-                )
-                lengths[algo] = result.length
-            except (CapacityExceeded, InputTooLarge) as exc:
-                row.update(length=None, median_ms=None, status=type(exc).__name__)
-            rows.append(row)
+        runs = [run_solver(algo, DEFAULT_CAPS, x, y, repetitions) for algo in algos]
+        rows += [{"n": spec.n, "m": spec.m, "s": spec.alphabet_size, "seed": spec.seed,
+                  "algo": run.name, "r": r, "length": run.result.length if run.result else None,
+                  "median_ms": run.ms,
+                  "status": "ok" if run.declined is None else type(run.declined).__name__}
+                 for run in runs]
+        lengths = {run.name: run.result.length for run in runs if run.declined is None}
         if len(set(lengths.values())) > 1:
             raise RuntimeError(f"solver disagreement on {spec}: {lengths}")
+        for run in runs:
+            run.check()
     return rows

@@ -5,7 +5,7 @@ optionally parsed as FASTA. All indices printed anywhere are 1-based.
 
 Exit codes: 0 success, 2 usage error, 3 I/O error, 4 capacity exhausted on
 every applicable algorithm, 5 solver disagreement from the compare command,
-or an invalid witness from solve or compare.
+or an invalid witness from solve, compare or bench.
 """
 
 from __future__ import annotations
@@ -13,11 +13,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from pathlib import Path
 
-from .bench import SOLVERS, GenSpec, run_suite
-from .core import CapacityExceeded, InputTooLarge, InvalidWitness, validate_witness
+from .bench import SOLVERS, GenSpec, run_solver, run_suite
+from .core import CapacityExceeded, InputTooLarge, InvalidWitness
 from .dp_solver import DEFAULT_CELL_CAP
 from .geometry import DEFAULT_RECT_CAP, rect_count
 from .match_index import MatchSet, build_match_set
@@ -72,19 +71,23 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     solve = sub.add_parser("solve", help="compute an LCPS of two sequences")
+    solve.set_defaults(run=solve_command)
     _add_input_flags(solve)
     _add_cap_flags(solve)
-    solve.add_argument("--algo", choices=["dp", "geom", "oracle", "auto"], default="auto")
+    solve.add_argument("--algo", choices=[*SOLVERS, "auto"], default="auto")
     solve.add_argument("--format", dest="fmt", choices=["text", "json"], default="text")
 
     compare = sub.add_parser("compare", help="run every solver and check they agree")
+    compare.set_defaults(run=compare_command)
     _add_input_flags(compare)
     _add_cap_flags(compare)
 
     matches = sub.add_parser("matches", help="print match counts as JSON")
+    matches.set_defaults(run=matches_command)
     _add_input_flags(matches)
 
     bench = sub.add_parser("bench", help="time the solvers on generated inputs")
+    bench.set_defaults(run=bench_command)
     bench.add_argument("--n-list", type=_int_list, default=(),
                        help="comma-separated lengths, one instance per value (n = m)")
     bench.add_argument("--s-list", type=_int_list, default=(2,),
@@ -96,8 +99,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_args(argv: list[str]) -> argparse.Namespace:
-    args = build_parser().parse_args(argv)
+def parse_args(argv: list[str] | None) -> argparse.Namespace:
+    args = PARSER.parse_args(argv)
     if args.command == "bench":
         args.s_list = args.s_list or (2,)
         unknown = [a for a in args.algo if a not in SOLVERS]
@@ -111,9 +114,8 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
             raise UsageError("--s-list alphabet sizes must be in 1..256")
         return args
 
-    if args.command in ("solve", "compare"):
-        if min(args.max_dp_cells, args.max_rects) < 1:
-            raise UsageError("caps must be at least 1")
+    if args.command in ("solve", "compare") and min(args.max_dp_cells, args.max_rects) < 1:
+        raise UsageError("caps must be at least 1")
     for name, literal, path in (("x", args.x_literal, args.x_file),
                                 ("y", args.y_literal, args.y_file)):
         if (literal is None) == (path is None):
@@ -152,10 +154,7 @@ def read_input(source: str, *, is_file: bool, fasta: bool) -> bytes:
     if fasta:
         return parse_fasta(data)
     if is_file:
-        if data.endswith(b"\r\n"):
-            data = data[:-2]
-        elif data.endswith(b"\n"):
-            data = data[:-1]
+        return data[:-2] if data.endswith(b"\r\n") else data.removesuffix(b"\n")
     return data
 
 
@@ -191,30 +190,27 @@ def solve_command(args: argparse.Namespace) -> int:
     x, y = _load_inputs(args)
     ms = build_match_set(x, y)
     order = auto_order(len(x), len(y), ms) if args.algo == "auto" else (args.algo,)
-    t0 = time.perf_counter()
-    for algo_used in order:
-        try:
-            result = SOLVERS[algo_used](args, x, y)
+    for algo in order:
+        run = run_solver(algo, args, x, y)
+        if run.declined is None:
             break
-        except CapacityExceeded as exc:
-            last_exc = exc
-    else:
-        raise last_exc
-    elapsed_ms = (time.perf_counter() - t0) * 1000.0
-    if not validate_witness(result, x, y):
-        raise InvalidWitness(f"{algo_used} produced an invalid witness {result}")
+        if algo == order[-1]:
+            raise run.declined
+        print(run.line(), file=sys.stderr)  # auto moves on to its next solver
+    run.check()
+    result = run.result
 
     if args.fmt == "json":
         print(json.dumps({
             "x_len": len(x),
             "y_len": len(y),
-            "algorithm": algo_used,
+            "algorithm": run.name,
             "lcps_length": result.length,
             "lcps": result.z.decode("latin-1"),
             "x_indices": list(result.x_indices),
             "y_indices": list(result.y_indices),
             "matches": ms.r,
-            "elapsed_ms": elapsed_ms,
+            "elapsed_ms": run.ms,
         }))
     else:
         print(result.length)
@@ -228,26 +224,15 @@ def compare_command(args: argparse.Namespace) -> int:
     rest are compared. Every solver declining is a capacity error."""
     x, y = _load_inputs(args)
     algos = ["dp", "geom"] + (["oracle"] if len(x) <= MAX_ORACLE_LEN else [])
-    lengths = {}
-    all_valid = True
-    declined: Exception | None = None
+    runs = []
     for name in algos:
-        t0 = time.perf_counter()
-        try:
-            result = SOLVERS[name](args, x, y)
-        except (CapacityExceeded, InputTooLarge) as exc:
-            print(f"{name}: declined ({type(exc).__name__}: {exc})")
-            declined = exc
-            continue
-        ms = (time.perf_counter() - t0) * 1000.0
-        valid = validate_witness(result, x, y)
-        all_valid = all_valid and valid
-        lengths[name] = result.length
-        print(f"{name}: length={result.length} "
-              f"palindrome={result.z.decode('latin-1')} valid={valid} ms={ms:.3f}")
-    if not lengths:
-        raise declined
-    if len(set(lengths.values())) > 1 or not all_valid:
+        runs.append(run_solver(name, args, x, y))
+        print(runs[-1].line())
+    ran = [run for run in runs if run.declined is None]
+    if not ran:
+        raise runs[-1].declined
+    lengths = {run.name: run.result.length for run in ran}
+    if len(set(lengths.values())) > 1 or not all(run.valid for run in ran):
         print(f"disagreement: {lengths}", file=sys.stderr)
         return EXIT_MISMATCH
     return EXIT_OK
@@ -262,22 +247,13 @@ def matches_command(args: argparse.Namespace) -> int:
 
 
 def bench_command(args: argparse.Namespace) -> int:
-    specs = [
-        GenSpec(n, n, s, args.seed)
-        for n in args.n_list
-        for s in args.s_list
-    ]
+    specs = [GenSpec(n, n, s, args.seed) for n in args.n_list for s in args.s_list]
     for row in run_suite(specs, args.algo, args.reps):
         print(json.dumps(row))
     return EXIT_OK
 
 
-COMMANDS = {
-    "solve": solve_command,
-    "compare": compare_command,
-    "matches": matches_command,
-    "bench": bench_command,
-}
+PARSER = build_parser()
 
 # Each error a command may raise, and the exit code it ends the run with.
 EXIT_CODES = {
@@ -290,11 +266,10 @@ EXIT_CODES = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
+    """Run one command; argv defaults to sys.argv[1:], as argparse reads it."""
     try:
         args = parse_args(argv)
-        return COMMANDS[args.command](args)
+        return args.run(args)
     except SystemExit as exc:  # argparse reports usage errors itself
         return int(exc.code or 0)
     except tuple(EXIT_CODES) as exc:

@@ -108,7 +108,11 @@ def fill_table(x: bytes, y: bytes, max_cells: int = DEFAULT_CELL_CAP) -> DpTable
 
 
 def dp_lcps(x: bytes, y: bytes, max_cells: int = DEFAULT_CELL_CAP) -> CpsResult:
-    """Fill the table and trace one maximal witness back through it."""
+    """Fill the table and trace one maximal witness back through it. The
+    longer input goes on the x side, and the witness is swapped back."""
+    if len(x) < len(y):
+        r = dp_lcps(y, x, max_cells)
+        return CpsResult(r.length, r.z, r.y_indices, r.x_indices)
     return _traceback(fill_table(x, y, max_cells))
 
 

@@ -141,6 +141,7 @@ def rect_columns(ms: MatchSet, max_rects: int = DEFAULT_RECT_CAP) -> RectColumns
     cols[3] = np.concatenate((ys[yl[v]], ys[dj]))
     cols[4, :len(u)], cols[4, len(u):] = 2, 1
     np.negative(cols[2:4], out=cols[2:4])
+    cols.setflags(write=False)
     return RectColumns(*cols)
 
 

@@ -1,6 +1,7 @@
 import pytest
 
 import lcps.bench as bench
+import lcps.cli as cli
 from lcps.bench import GenSpec, generate, run_suite
 from lcps.match_index import build_match_set
 
@@ -70,3 +71,20 @@ def test_run_suite_detects_solver_disagreement(monkeypatch):
                         lambda caps, x, y: CpsResult(99, b"", (), ()))
     with pytest.raises(RuntimeError):
         bench.run_suite([GenSpec(6, 6, 2, 5)], ["dp", "geom"], repetitions=1)
+
+
+def test_bench_rejects_an_invalid_witness(monkeypatch, capsys):
+    from lcps import dp_lcps
+    from lcps.core import CpsResult, InvalidWitness
+
+    def wrong_indices(caps, x, y):
+        r = dp_lcps(x, y)
+        return CpsResult(r.length, r.z, (0,) * r.length, r.y_indices)
+
+    monkeypatch.setitem(bench.SOLVERS, "geom", wrong_indices)
+    with pytest.raises(InvalidWitness):
+        bench.run_suite([GenSpec(6, 6, 2, 5)], ["dp", "geom"], repetitions=1)
+    code = cli.main(["bench", "--n-list", "6", "--seed", "5", "--reps", "1"])
+    err = capsys.readouterr().err
+    assert code == 5
+    assert err.startswith("error: geom produced an invalid witness")

@@ -223,6 +223,18 @@ def test_auto_falls_back_when_the_cheaper_solver_declines(capsys, pair, cap, fal
     assert second["lcps_length"] == first["lcps_length"]
 
 
+def test_auto_reports_the_solver_it_falls_back_from(capsys):
+    x, y = (s.decode("latin-1") for s in DENSE)
+    argv = ["solve", "-x", x, "-y", y, "--format", "json"]
+    code, out, err = run(capsys, *argv, "--algo", "auto", "--max-dp-cells", "1")
+    assert code == 0
+    assert err == "dp: declined (CapacityExceeded: table needs 331776 cells, cap is 1)\n"
+    _, forced, _ = run(capsys, *argv, "--algo", "geom")
+    masked = [dict(json.loads(o), elapsed_ms=0) for o in (out, forced)]
+    assert masked[0] == masked[1] and masked[0]["algorithm"] == "geom"
+    assert run(capsys, *argv, "--algo", "auto")[2] == ""
+
+
 def test_compare_reports_declined_solver(capsys):
     code, out, _ = run(capsys, "compare", "-x", "aab", "-y", "aba", "--max-dp-cells", "1")
     assert code == 0

@@ -212,3 +212,18 @@ def test_length_invariant_under_swap(x, y):
 @given(byte_seqs(max_size=8), byte_seqs(max_size=8))
 def test_length_invariant_under_double_reversal(x, y):
     assert dp_lcps(x, y).length == dp_lcps(x[::-1], y[::-1]).length
+
+
+def test_thin_shape_peak_is_the_longer_side_table():
+    # The cap counts n*n*m*m cells; with the 1-character input on the x side
+    # the table and its masks would cost about 7 bytes per counted cell.
+    x, y = b"a", generate(GenSpec(2048, 0, 2, 1))[0]
+    tracemalloc.start()
+    try:
+        r = dp_lcps(x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * len(x) ** 2 * len(y) ** 2, peak
+    assert validate_witness(r, x, y)
+    assert r.length == dp_lcps(y, x).length == 1

@@ -15,6 +15,7 @@ from lcps.geometry import (
     enumerate_rectangles,
     is_chained,
     is_nested,
+    rect_columns,
     rect_count,
     rect_to_point,
     rect_total,
@@ -199,3 +200,10 @@ def test_decompose_is_a_nested_chain_with_degenerate_last():
         assert all(q.weight == 2 for q in out[:-1])
         if r.length % 2:
             assert out[-1].weight == 1
+
+
+def test_rect_columns_are_read_only():
+    cols = rect_columns(build_match_set(b"aab", b"aba"))
+    for col in cols:
+        with pytest.raises(ValueError):
+            col[:1] = 99
