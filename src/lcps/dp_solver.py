@@ -19,20 +19,24 @@ window on either side reads 0 without a special case. The fill takes one x lengt
 time; all starts i and all y windows (k, l) of that length are one
 contiguous slab:
 
-  1. every cell takes the larger x-side drop, two slices of the x_len - 1
-     slab (starts i + 1 and i); at x_len = 1 the slab is seeded instead
-     with x[i] == y[k] on the diagonal l = k;
-  2. cells whose four ends are equal (k < l) are overwritten with
-     2 + (x_len - 2, i + 1, k + 1, l - 1);
-  3. two in-place running maxima, ascending along l and then descending
-     along k, close the y-side drops.
+  1. at x_len = 1 the slab is the occurrence test: x[i] occurs in y[k..l]
+     exactly when its first occurrence at or after k is at most l;
+  2. otherwise every cell takes the larger x-side drop, two slices of the
+     x_len - 1 slab (starts i + 1 and i);
+  3. the rows whose ends are one symbol, x[i] == x[j] == c, are raised to
+     2 + (x_len - 2, i + 1, k' + 1, l' - 1) wherever y[k..l] holds a c pair,
+     with k' the first c at or after k and l' the last at or before l
+     (k' < l'): the tightest pair, read from plane x_len - 2 with one take.
 
 Step 3 is the y-side drops unrolled: following them from (k, l) reaches
-every y window inside it, so the recurrence's value is the maximum of steps
-1 and 2 over all contained windows (k <= k' <= l' <= l), and that is what
-the two running maxima compute. A four-equal cell is not lowered by this,
-and not raised either: 2 + peel is at least the value of every window it
-contains.
+every y window inside it, so the recurrence's value is the maximum, over
+all contained windows (k <= k'' <= l'' <= l), of the x-side drops and, where
+the four ends are equal, 2 + peel. The x-side drops already hold that
+maximum at (k, l), because the x_len - 1 slab does not grow when its y
+window shrinks. Every contained window whose ends are both c has
+k' <= k'' and l'' <= l', so its peel lies inside the tightest pair's peel
+and is no larger. A four-equal cell keeps 2 + peel: that is at least the
+value of every window it contains.
 """
 
 from __future__ import annotations
@@ -84,25 +88,40 @@ def fill_table(x: bytes, y: bytes, max_cells: int = DEFAULT_CELL_CAP) -> DpTable
         raise CapacityExceeded(f"cell values up to {min(n, m)} do not fit in uint16")
     planes = np.zeros((n + 1, n, m, m), dtype=np.uint16)
     xs = np.frombuffer(x, dtype=np.uint8)
-    ys = np.frombuffer(y, dtype=np.uint8)
-    cross = xs[:, None] == ys[None, :]  # x[i] == y[k], 0-based
-    # pair_at[i, k, l]: x[i] == y[k] == y[l] with k < l, the four-equal test
-    # once x[i] also equals the window's last symbol.
-    pair_at = cross[:, :, None] & np.triu(ys[:, None] == ys[None, :], 1)
+    # x[i] == symbols[sym[i]], and symbols[s] occurs counts[s] times in x
+    symbols, sym, counts = np.unique(xs, return_inverse=True, return_counts=True)
+    at = symbols[:, None] == np.frombuffer(y, dtype=np.uint8)
+    pos = np.arange(m)
+    # nxt[s, k]: first occurrence of symbols[s] at or after k (m if none);
+    # prv[s, l]: last occurrence at or before l (-1 if none).
+    nxt = np.minimum.accumulate(np.where(at, pos, m)[:, ::-1], axis=1)[:, ::-1]
+    prv = np.maximum.accumulate(np.where(at, pos, -1), axis=1)
+    # Per symbol that x repeats (only those end both sides of an x window) and
+    # per y window (k, l): whether the window holds a pair of it, and the
+    # tightest pair's inner window as a flat index into one start's m*m cells
+    # (0 where there is no pair, so every index stays in range).
+    repeats = counts >= 2
+    slot = np.cumsum(repeats) - 1  # a repeated symbol's row in has_pair and inner
+    nxt_rep, prv_rep = nxt[repeats], prv[repeats]
+    has_pair = (nxt_rep[:, :, None] < prv_rep[:, None, :]).reshape(len(nxt_rep), m * m)
+    inner = (((nxt_rep + 1) * m - 1)[:, :, None] + prv_rep[:, None, :]).reshape(len(nxt_rep), m * m)
+    inner *= has_pair
     for lx in range(1, n + 1):
         count = n - lx + 1  # valid starts i = 0..n-lx
         slab = planes[lx, :count]
         if lx == 1:
-            diag = np.arange(m)
-            slab[:, diag, diag] = cross
-        else:
-            np.maximum(planes[lx - 1, 1 : count + 1], planes[lx - 1, :count], out=slab)
-            four = pair_at[:count, :-1, 1:] & (xs[:count] == xs[lx - 1 :])[:, None, None]
-            np.add(planes[lx - 2, 1 : count + 1, 1:, :-1], 2, out=slab[:, :-1, 1:], where=four)
-        # y-side drops: each cell becomes the max over the y windows it contains
-        np.maximum.accumulate(slab, axis=2, out=slab)
-        descending = slab[:, ::-1]
-        np.maximum.accumulate(descending, axis=1, out=descending)
+            np.less_equal(nxt[sym][:, :, None], pos, out=slab)
+            continue
+        np.maximum(planes[lx - 1, 1 : count + 1], planes[lx - 1, :count], out=slab)
+        rows = np.flatnonzero(xs[:count] == xs[lx - 1 :])
+        c = slot[sym[rows]]
+        idx = inner[c]
+        idx += ((rows + 1) * m * m)[:, None]
+        peel = planes[lx - 2].reshape(-1).take(idx)
+        peel += 2
+        peel *= has_pair[c]
+        flat = slab.reshape(count, m * m)
+        flat[rows] = np.maximum(flat[rows], peel, out=peel)
     planes.setflags(write=False)
     return DpTable(x, y, planes)
 

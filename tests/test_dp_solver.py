@@ -8,11 +8,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import byte_seqs, random_pair
 import lcps
-from lcps import CapacityExceeded, brute_force_lcps, dp_lcps, fill_table, validate_witness
+from lcps import (CapacityExceeded, brute_force_lcps, dp_lcps, fill_table, geometric_lcps,
+                  validate_witness)
 from lcps.bench import GenSpec, generate
+from lcps.geometry import rect_count
+from lcps.match_index import build_match_set
 
 
 def test_single_char_cell():
@@ -150,11 +154,10 @@ def _dense_cells(t):
     return f
 
 
-@pytest.mark.parametrize("sigma", [2, 4])
-def test_every_cell_obeys_the_recurrence_at_benchmark_size(sigma):
-    # The oracle cannot reach n=36; checking each cell against the recurrence
-    # over its already-checked neighbours covers the whole table by induction.
-    x, y = generate(GenSpec(36, 36, sigma, 1))
+def _assert_obeys_the_recurrence(x, y):
+    """Every cell with i < j and k < l is 2 + peel where the four ends are
+    equal and the max of the four drops otherwise; every length-1 window is
+    1 exactly when its symbol occurs in the other window."""
     n, m = len(x), len(y)
     f = _dense_cells(fill_table(x, y))
     xs = np.frombuffer(x, dtype=np.uint8)
@@ -174,10 +177,9 @@ def test_every_cell_obeys_the_recurrence_at_benchmark_size(sigma):
     kk = np.arange(m)
     both_long = (ii[:, None] < ii[None, :])[:, :, None, None] & (kk[:, None] < kk[None, :])
     want = np.where(four_equal, peel, drops)
-    assert np.array_equal(cell[both_long], want[both_long])
+    assert np.array_equal(cell[both_long], want[both_long]), (x, y)
     assert both_long.sum() == (n * (n - 1) // 2) * (m * (m - 1) // 2)
 
-    # Length-1 windows: 1 exactly when the symbol occurs in the other window.
     cross = (xs[:, None] == ys[None, :]).astype(np.int32)
     hits_y = np.concatenate([np.zeros((n, 1), np.int32), cross.cumsum(axis=1)], axis=1)
     in_y = hits_y[:, None, 1:] - hits_y[:, :-1, None] > 0  # (i, k, l), k <= l
@@ -185,14 +187,37 @@ def test_every_cell_obeys_the_recurrence_at_benchmark_size(sigma):
     in_x = hits_x[1:][None, :, :] - hits_x[:-1][:, None, :] > 0  # (i, j, k), i <= j
     upper_y = kk[:, None] <= kk[None, :]
     upper_x = ii[:, None] <= ii[None, :]
-    assert np.array_equal(cell[ii, ii][:, upper_y], in_y[:, upper_y])
-    assert np.array_equal(cell[:, :, kk, kk][upper_x], in_x[upper_x])
+    assert np.array_equal(cell[ii, ii][:, upper_y], in_y[:, upper_y]), (x, y)
+    assert np.array_equal(cell[:, :, kk, kk][upper_x], in_x[upper_x]), (x, y)
 
 
-def test_fill_peak_memory_is_the_table():
-    # A size cap must bound real memory: the per-x-length temporaries are
-    # O(n*m*m), small next to the n*n*m*m table.
-    x, y = generate(GenSpec(40, 40, 2, 1))
+@pytest.mark.parametrize("sigma", [2, 4])
+def test_every_cell_obeys_the_recurrence_at_benchmark_size(sigma):
+    # The oracle cannot reach n=36; checking each cell against the recurrence
+    # over its already-checked neighbours covers the whole table by induction.
+    _assert_obeys_the_recurrence(*generate(GenSpec(36, 36, sigma, 1)))
+
+
+def test_every_cell_obeys_the_recurrence_on_random_shapes():
+    rng = random.Random(4242)
+    pairs = [random_pair(rng, max_len=12, max_sigma=5) for _ in range(300)]
+    pairs += [
+        (b"a", b"abcab"), (b"abcab", b"a"), (b"b", b"b"),  # n = 1, m = 1
+        (b"ab", b"abbaabab" * 2), (b"abbaabab" * 2, b"ba"),  # n < m, n > m
+        (b"a" * 11, b"a" * 7), (b"a" * 3, b"a" * 12),  # one symbol: pairs everywhere
+        (b"abab" * 3, b"cdcdc" * 2), (b"aaaa", b"bbbbbb"),  # disjoint: no pairs at all
+    ]
+    for x, y in pairs:
+        if x and y:
+            _assert_obeys_the_recurrence(x, y)
+
+
+@pytest.mark.parametrize("sigma", [2, 40])
+def test_fill_peak_memory_is_the_table(sigma):
+    # A size cap must bound real memory: the per-symbol pair indices and the
+    # per-x-length temporaries are O(n*m*m), small next to the n*n*m*m table.
+    # With 40 symbols the per-symbol index arrays are at their largest.
+    x, y = generate(GenSpec(40, 40, sigma, 1))
     tracemalloc.start()
     try:
         t = fill_table(x, y)
@@ -214,9 +239,29 @@ def test_length_invariant_under_double_reversal(x, y):
     assert dp_lcps(x, y).length == dp_lcps(x[::-1], y[::-1]).length
 
 
+@st.composite
+def pairs_past_oracle_limit(draw):
+    """Two strings of 0 to 60 characters over the first 1 to 8 letters."""
+    letters = st.sampled_from(list(b"abcdefgh"[: draw(st.integers(1, 8))]))
+    sizes = draw(st.integers(0, 60)), draw(st.integers(0, 60))
+    return tuple(bytes(draw(st.lists(letters, min_size=k, max_size=k))) for k in sizes)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairs_past_oracle_limit())
+def test_dp_agrees_with_geom_past_oracle_limit(pair):
+    # geom only where it stays quick: P <= 50 000 rectangles
+    x, y = pair
+    d = dp_lcps(x, y)
+    assert validate_witness(d, x, y)
+    if rect_count(build_match_set(x, y)) <= 50_000:
+        assert geometric_lcps(x, y).length == d.length
+
+
 def test_thin_shape_peak_is_the_longer_side_table():
     # The cap counts n*n*m*m cells; with the 1-character input on the x side
-    # the table and its masks would cost about 7 bytes per counted cell.
+    # the table alone would cost 4 bytes per counted cell (the x_len = 0 plane
+    # doubles a one-row table).
     x, y = b"a", generate(GenSpec(2048, 0, 2, 1))[0]
     tracemalloc.start()
     try:
