@@ -167,14 +167,16 @@ def _load_inputs(args: argparse.Namespace) -> tuple[bytes, bytes]:
 
 
 # dp fills n*n*m*m table cells; geom pays per rectangle. Timed on n = m in
-# 12..32 with 2 to 16 symbols, two seeds, twice (2-vCPU x86, Python 3.11),
-# one rectangle cost as much as 1758 to 2047 cells: the median break-even
-# per instance (5256 to 5663 on the 16-symbol ones). 4096 picks the faster
-# solver on 72 to 78 of 84 instances per seed, 2048 and 8192 on 66 to 76,
-# 1024 on 58 to 64. Memory runs the other way: a 2-byte cell outweighs
-# geom's roughly 80 to 160 bytes per rectangle above about 40 to 80 cells
-# per rectangle, so dp first can take more memory than geom would. The dp
-# cell cap, not this order, bounds dp's memory.
+# 12..32 with 2 to 16 symbols, two seeds, three times (2-vCPU x86, Python
+# 3.11, min of 3 runs per instance), one rectangle cost as much as 1889 to
+# 2268 cells: the median break-even per instance (5649 to 6161 on the
+# 16-symbol ones). 4096 picks the faster solver on 73 to 76 of 84 instances
+# per seed, 8192 on 72 to 78 (in no pass more than 4096 on both seeds), 2048
+# on 62 to 68, 1024 on 54 to 61. Memory runs the other way: at about half a
+# byte per counted cell, the dp table outweighs geom's roughly 80 to 160
+# bytes per rectangle above about 160 to 320 cells per rectangle, so dp
+# first can take more memory than geom would. The dp cell cap, not this
+# order, bounds dp's memory.
 DP_CELLS_PER_RECT = 4096
 
 

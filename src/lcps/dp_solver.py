@@ -12,12 +12,13 @@ Recurrence, for i < j and k < l:
 Length-1 substrings score 1 exactly when their character occurs anywhere in
 the other window, so every cell is individually correct, not just the root.
 
-Storage is (x_len, i, k, l) with 0-based starts and ends: an x window by its
-length and start, a y window by its start and end. Cells with l < k (an
-empty y window) and the x_len = 0 plane stay 0, so peeling a length-2
-window on either side reads 0 without a special case. The fill takes one x length at a
-time; all starts i and all y windows (k, l) of that length are one
-contiguous slab:
+Storage is (x_len, i, w) with 0-based starts: an x window by its length
+and start, a y window (k, l), k <= l, by its row-major triangle index
+w = k*(2m - k + 1)/2 + (l - k). Empty y windows are not stored: column
+m*(m+1)/2 of every start is a zero cell that stands for all of them, and
+the x_len = 0 plane is 0, so peeling a length-2 window on either side reads
+0 without a special case. The fill takes one x length at a time; all starts
+i and all y windows of that length are one contiguous slab:
 
   1. at x_len = 1 the slab is the occurrence test: x[i] occurs in y[k..l]
      exactly when its first occurrence at or after k is at most l;
@@ -26,7 +27,10 @@ contiguous slab:
   3. the rows whose ends are one symbol, x[i] == x[j] == c, are raised to
      2 + (x_len - 2, i + 1, k' + 1, l' - 1) wherever y[k..l] holds a c pair,
      with k' the first c at or after k and l' the last at or before l
-     (k' < l'): the tightest pair, read from plane x_len - 2 with one take.
+     (k' < l'): the tightest pair, read from plane x_len - 2 with one take
+     through c's column of the inner window (the zero column where it is
+     empty or there is no pair) plus c's gain (2 where there is a pair, else
+     0).
 
 Step 3 is the y-side drops unrolled: following them from (k, l) reaches
 every y window inside it, so the recurrence's value is the maximum, over
@@ -48,8 +52,16 @@ from .core import CapacityExceeded, CpsResult, assemble_result
 DEFAULT_CELL_CAP = 2**26
 
 
+def _column(k, l, m: int):
+    """The table column of the y window (k, l), 0-based with k <= l: its
+    index among the windows of y[0..m-1] in row-major triangle order."""
+    return k * (2 * m - k + 1) // 2 + (l - k)
+
+
 class DpTable:
-    """Dense uint16 table; cells with an empty substring on either side read as 0."""
+    """The y windows k <= l of each x window, packed in 1-byte cells (2-byte
+    once both inputs reach 256); cells with an empty substring on either side
+    read as 0."""
 
     def __init__(self, x: bytes, y: bytes, planes: np.ndarray):
         self.n = len(x)
@@ -63,7 +75,7 @@ class DpTable:
             return 0
         if not (1 <= i and j <= self.n and 1 <= k and l <= self.m):
             raise IndexError(f"cell ({i},{j},{k},{l}) outside a {self.n}x{self.m} instance")
-        return int(self._planes[j - i + 1, i - 1, k - 1, l - 1])
+        return int(self._planes[j - i + 1, i - 1, _column(k - 1, l - 1, self.m)])
 
     @property
     def root(self) -> int:
@@ -74,7 +86,9 @@ class DpTable:
 def fill_table(x: bytes, y: bytes, max_cells: int = DEFAULT_CELL_CAP) -> DpTable:
     """Fill the whole table bottom-up, shorter x windows first.
 
-    Raises CapacityExceeded when n*n*m*m exceeds max_cells, or when the
+    The table holds (n+1)*n*(m*(m+1)/2 + 1) cells, uint8 while the shorter
+    input is under 256 characters (a cell is at most min(n, m)) and uint16
+    above. Raises CapacityExceeded when n*n*m*m exceeds max_cells, or when the
     shorter input reaches 2**16 so a cell value could overflow uint16; at
     that point the geometric solver (or the oracle, for tiny inputs) is the
     way out.
@@ -86,7 +100,9 @@ def fill_table(x: bytes, y: bytes, max_cells: int = DEFAULT_CELL_CAP) -> DpTable
         )
     if min(n, m) >= 2**16:
         raise CapacityExceeded(f"cell values up to {min(n, m)} do not fit in uint16")
-    planes = np.zeros((n + 1, n, m, m), dtype=np.uint16)
+    windows = m * (m + 1) // 2  # column `windows` of every start is the zero cell
+    width = windows + 1
+    planes = np.zeros((n + 1, n, width), dtype=np.uint8 if min(n, m) < 256 else np.uint16)
     xs = np.frombuffer(x, dtype=np.uint8)
     # x[i] == symbols[sym[i]], and symbols[s] occurs counts[s] times in x
     symbols, sym, counts = np.unique(xs, return_inverse=True, return_counts=True)
@@ -96,32 +112,35 @@ def fill_table(x: bytes, y: bytes, max_cells: int = DEFAULT_CELL_CAP) -> DpTable
     # prv[s, l]: last occurrence at or before l (-1 if none).
     nxt = np.minimum.accumulate(np.where(at, pos, m)[:, ::-1], axis=1)[:, ::-1]
     prv = np.maximum.accumulate(np.where(at, pos, -1), axis=1)
+    k, l = np.triu_indices(m)  # column w is the y window (k[w], l[w])
+    # The x_len = 1 plane (none when x is empty): x[i] occurs in y[k..l]
+    # exactly when nxt[x[i]][k] <= l.
+    planes[1:2, :, :windows] = (nxt[:, k] <= l)[sym]
     # Per symbol that x repeats (only those end both sides of an x window) and
-    # per y window (k, l): whether the window holds a pair of it, and the
-    # tightest pair's inner window as a flat index into one start's m*m cells
-    # (0 where there is no pair, so every index stays in range).
+    # per y window: the column of the tightest pair's inner window (a, b), or
+    # the zero column where it is empty or there is no pair, and the gain, 2
+    # where the window holds a pair and 0 where it does not.
     repeats = counts >= 2
-    slot = np.cumsum(repeats) - 1  # a repeated symbol's row in has_pair and inner
-    nxt_rep, prv_rep = nxt[repeats], prv[repeats]
-    has_pair = (nxt_rep[:, :, None] < prv_rep[:, None, :]).reshape(len(nxt_rep), m * m)
-    inner = (((nxt_rep + 1) * m - 1)[:, :, None] + prv_rep[:, None, :]).reshape(len(nxt_rep), m * m)
-    inner *= has_pair
-    for lx in range(1, n + 1):
+    slot = np.cumsum(repeats) - 1  # a repeated symbol's row in inner and gain
+    a = nxt[repeats][:, k] + 1
+    b = prv[repeats][:, l] - 1
+    del k, l
+    inner = np.full((len(a), width), windows)
+    inner[:, :windows] = np.where(a <= b, _column(a, b, m), windows)
+    gain = np.zeros((len(a), width), dtype=planes.dtype)
+    gain[:, :windows] = 2 * (a <= b + 1)
+    del a, b
+    for lx in range(2, n + 1):
         count = n - lx + 1  # valid starts i = 0..n-lx
         slab = planes[lx, :count]
-        if lx == 1:
-            np.less_equal(nxt[sym][:, :, None], pos, out=slab)
-            continue
         np.maximum(planes[lx - 1, 1 : count + 1], planes[lx - 1, :count], out=slab)
         rows = np.flatnonzero(xs[:count] == xs[lx - 1 :])
         c = slot[sym[rows]]
         idx = inner[c]
-        idx += ((rows + 1) * m * m)[:, None]
+        idx += ((rows + 1) * width)[:, None]
         peel = planes[lx - 2].reshape(-1).take(idx)
-        peel += 2
-        peel *= has_pair[c]
-        flat = slab.reshape(count, m * m)
-        flat[rows] = np.maximum(flat[rows], peel, out=peel)
+        peel += gain[c]
+        slab[rows] = np.maximum(slab[rows], peel, out=peel)
     planes.setflags(write=False)
     return DpTable(x, y, planes)
 

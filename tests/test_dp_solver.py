@@ -49,6 +49,7 @@ def test_empty_inputs():
     assert r == brute_force_lcps(b"", b"abc")
     assert r.length == 0 and r.z == b""
     assert dp_lcps(b"abc", b"").length == 0
+    assert fill_table(b"", b"abc").root == fill_table(b"abc", b"").root == 0
 
 
 def test_known_witness():
@@ -148,9 +149,10 @@ def _dense_cells(t):
     """The table as F[i, j, k, l] over 1-based bounds; empty windows read 0."""
     n, m = t.n, t.m
     f = np.zeros((n + 2, n + 1, m + 2, m + 1), dtype=np.int32)
+    k, l = np.triu_indices(m)  # the packed windows, in table order
     for i in range(1, n + 1):
         for j in range(i, n + 1):
-            f[i, j, 1 : m + 1, 1 : m + 1] = t._planes[j - i + 1, i - 1]
+            f[i, j, k + 1, l + 1] = t._planes[j - i + 1, i - 1, : len(k)]
     return f
 
 
@@ -191,6 +193,28 @@ def _assert_obeys_the_recurrence(x, y):
     assert np.array_equal(cell[:, :, kk, kk][upper_x], in_x[upper_x]), (x, y)
 
 
+def test_cell_reads_the_packed_window_at_every_bound():
+    # cell() finds a y window by its row-major triangle index; the helper
+    # unpacks with np.triu_indices. Empty windows (j = i - 1, l = k - 1) read
+    # 0, and so does the trailing column of every start.
+    rng = random.Random(1212)
+    pairs = [(b"a", b"a"), (b"a", b"abcab"), (b"abcab", b"b"),  # n = 1, m = 1
+             (b"ab", b"abbaabab"), (b"abbaabab" * 2, b"bab")]  # n < m, n > m
+    pairs += [random_pair(rng, max_len=12, max_sigma=4) for _ in range(40)]
+    for x, y in pairs:
+        if not (x and y):
+            continue
+        n, m = len(x), len(y)
+        t = fill_table(x, y)
+        f = _dense_cells(t)
+        assert not t._planes[:, :, -1].any()
+        for i in range(1, n + 1):
+            for j in range(i - 1, n + 1):
+                for k in range(1, m + 1):
+                    for l in range(k - 1, m + 1):
+                        assert t.cell(i, j, k, l) == f[i, j, k, l], (x, y, i, j, k, l)
+
+
 @pytest.mark.parametrize("sigma", [2, 4])
 def test_every_cell_obeys_the_recurrence_at_benchmark_size(sigma):
     # The oracle cannot reach n=36; checking each cell against the recurrence
@@ -225,6 +249,20 @@ def test_fill_peak_memory_is_the_table(sigma):
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * t._planes.nbytes, (peak, t._planes.nbytes)
+
+
+def test_peak_memory_at_the_default_caps_largest_square():
+    # n = m = 90 is the largest square under the default cap of 2**26 cells;
+    # 1-byte cells over the k <= l windows make the table about 34 MB.
+    x, y = generate(GenSpec(90, 90, 2, 1))
+    tracemalloc.start()
+    try:
+        r = dp_lcps(x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40 * 2**20, peak
+    assert validate_witness(r, x, y)
 
 
 @settings(max_examples=60, deadline=None)
