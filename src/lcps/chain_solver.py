@@ -14,13 +14,12 @@ Everything runs on numpy columns. best_chain runs the whole sequence (sweep
 order, chain values, then a walk from the best point to a dominating point
 of the right value) for both longest_chain and geometric_lcps.
 
-DominanceMaxIndex is an online 3-D dominance index (three nested binary
-indexed trees) kept as a stand-alone structure; the solver does not use it.
+DominanceMaxIndex is a stand-alone online form of the same strict 3-D
+dominance query, a masked scan over declared keys; the solver does not use it.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import groupby
 from typing import Any, Iterable, Optional
@@ -47,89 +46,39 @@ class ChainNode:
 
 
 class DominanceMaxIndex:
-    """Strict 3-D dominance maximum over a fixed universe of insertable keys.
+    """Strict 3-D dominance maximum over a fixed set of insertable keys.
 
-    The constructor takes every (a, b, c) key that may later be inserted and
-    compresses each level's coordinates up front. Queries may use arbitrary
-    coordinates. Values at a key only grow, and both operations cost
-    O(log^3) of the universe size.
-
-    Layout: ``_avals`` holds the distinct a values; a-tree node g holds the
-    distinct b values ``_bvals[g]`` of the keys it covers; and (g, h) holds
-    one leaf ``(cvals, val, pay)``, a prefix-maximum tree over the distinct
-    c values it covers.
+    The constructor takes every (a, b, c) key that may later be inserted,
+    repeats allowed, and gives each distinct key one slot of an int64 key
+    column, a value column and a payload list. Queries may use arbitrary
+    coordinates. Values at a key only grow. A query is one masked scan over
+    the slots, so it costs O(keys); geometric_lcps uses dominance_max.
     """
 
     def __init__(self, keys: Iterable[tuple[int, int, int]]):
-        keys = list(keys)
-        self._declared = set(keys)
-        self._avals = avals = sorted({a for a, _, _ in keys})
-        u1 = len(avals)
-        per_a: list[list] = [[] for _ in range(u1 + 1)]
-        for a, b, c in keys:
-            g = u1 - bisect_left(avals, a)
-            while g <= u1:
-                per_a[g].append((b, c))
-                g += g & -g
-        self._bvals: list[list] = [[]]
-        self._leaves: list[list] = [[]]
-        for bcs in per_a[1:]:
-            bvals = sorted({b for b, _ in bcs})
-            u2 = len(bvals)
-            per_b: list[list] = [[] for _ in range(u2 + 1)]
-            for b, c in bcs:
-                h = u2 - bisect_left(bvals, b)
-                while h <= u2:
-                    per_b[h].append(c)
-                    h += h & -h
-            leaves: list = [None]
-            for cs in per_b[1:]:
-                cvals = sorted(set(cs))
-                leaves.append((cvals, [0] * (len(cvals) + 1), [None] * (len(cvals) + 1)))
-            self._bvals.append(bvals)
-            self._leaves.append(leaves)
+        self._slot = {key: s for s, key in enumerate(dict.fromkeys(keys))}
+        self._keys = np.array(list(self._slot), dtype=np.int64).reshape(-1, 3)
+        self._values = np.zeros(len(self._slot), dtype=np.int64)
+        self._payloads: list[Any] = [None] * len(self._slot)
 
     def insert_or_raise(self, key: tuple[int, int, int], value: int, node: Any = None) -> None:
         """Raise the value stored at key to max(old, value); payload follows the max."""
-        if key not in self._declared:
+        s = self._slot.get(key)
+        if s is None:
             raise ValueError(f"key {key} was not declared at construction")
-        a, b, c = key
-        u1 = len(self._avals)
-        g = u1 - bisect_left(self._avals, a)
-        while g <= u1:
-            bvals, leaves = self._bvals[g], self._leaves[g]
-            u2 = len(bvals)
-            h = u2 - bisect_left(bvals, b)
-            while h <= u2:
-                cvals, val, pay = leaves[h]
-                u3 = len(cvals)
-                r = u3 - bisect_left(cvals, c)
-                while r <= u3:
-                    if value > val[r]:
-                        val[r] = value
-                        pay[r] = node
-                    r += r & -r
-                h += h & -h
-            g += g & -g
+        if value > self._values[s]:
+            self._values[s] = value
+            self._payloads[s] = node
 
     def query_max_strict(self, a: int, b: int, c: int) -> tuple[int, Any]:
         """Max value (and its payload) over stored keys strictly greater in all
-        three coordinates; (0, None) when there is none."""
-        best, best_pay = 0, None
-        g = len(self._avals) - bisect_right(self._avals, a)
-        while g > 0:
-            bvals, leaves = self._bvals[g], self._leaves[g]
-            h = len(bvals) - bisect_right(bvals, b)
-            while h > 0:
-                cvals, val, pay = leaves[h]
-                r = len(cvals) - bisect_right(cvals, c)
-                while r > 0:
-                    if val[r] > best:
-                        best, best_pay = val[r], pay[r]
-                    r -= r & -r
-                h -= h & -h
-            g -= g & -g
-        return best, best_pay
+        three coordinates; (0, None) when there is none. Among equal maxima,
+        the first declared key's payload."""
+        value = np.where((self._keys > (a, b, c)).all(axis=1), self._values, 0)
+        if not value.any():
+            return 0, None
+        s = int(value.argmax())
+        return int(value[s]), self._payloads[s]
 
 
 def sort_points(points: Iterable[Point4]) -> list[list[Point4]]:

@@ -155,42 +155,36 @@ def dp_lcps(x: bytes, y: bytes, max_cells: int = DEFAULT_CELL_CAP) -> CpsResult:
 
 
 def _traceback(t: DpTable) -> CpsResult:
-    """Walk from the root cell, peeling matched ends and following maxima.
+    """Walk from the root along the fill's own transition, on the planes.
 
-    When several of the four shrink moves tie, the first in the order
-    (i+1,j,k,l), (i,j-1,k,l), (i,j,k+1,l), (i,j,k,l-1) is taken, so the
-    witness is deterministic. Each step shrinks at least one bound, giving
-    O(n+m) steps.
+    At each x window (start i, length lx) and y window (k, l): a length-1 x
+    window is the centre, its symbol's first occurrence in the y window.
+    Otherwise an x-side drop that keeps the value is taken, the start
+    before the end. When neither keeps it, the window's ends are one symbol
+    c and the value is 2 plus the inner window of y's tightest c pair: the
+    pair is recorded and the walk steps inside it, to plane lx - 2. Each
+    step shortens the x window, so the walk has at most n steps.
     """
-    x, y = t._x, t._y
-    i, j, k, l = 1, t.n, 1, t.m
+    x, y, planes, m = t._x, t._y, t._planes, t.m
+    i, lx, k, l = 0, t.n, 0, m - 1  # 0-based start, x length, y window
     pairs = []
     center = None
-    while i <= j and k <= l:
-        value = t.cell(i, j, k, l)
+    while lx and k <= l:
+        w = _column(k, l, m)
+        value = planes[lx, i, w]
         if value == 0:
             break
-        if i == j or k == l:
-            # value is 1: a single character common to both windows
-            if i == j:
-                ch = x[i - 1]
-                center = (ch, i, y.find(ch, k - 1, l) + 1)
-            else:
-                ch = y[k - 1]
-                center = (ch, x.find(ch, i - 1, j) + 1, k)
+        ch = x[i]
+        if lx == 1:
+            center = (ch, i + 1, y.find(ch, k, l + 1) + 1)
             break
-        if x[i - 1] == x[j - 1] == y[k - 1] == y[l - 1]:
-            pairs.append((x[i - 1], i, j, k, l))
+        if planes[lx - 1, i + 1, w] == value:
             i += 1
-            j -= 1
-            k += 1
-            l -= 1
-        elif t.cell(i + 1, j, k, l) == value:
-            i += 1
-        elif t.cell(i, j - 1, k, l) == value:
-            j -= 1
-        elif t.cell(i, j, k + 1, l) == value:
-            k += 1
+            lx -= 1
+        elif planes[lx - 1, i, w] == value:
+            lx -= 1
         else:
-            l -= 1
+            a, b = y.find(ch, k, l + 1), y.rfind(ch, k, l + 1)
+            pairs.append((ch, i + 1, i + lx, a + 1, b + 1))
+            i, lx, k, l = i + 1, lx - 2, a + 1, b - 1
     return assemble_result(pairs, center)

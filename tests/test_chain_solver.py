@@ -134,6 +134,28 @@ def test_index_agrees_with_naive_scan():
                     assert all(c > qc for c, qc in zip(pay, q))
 
 
+def test_index_from_a_generator_with_repeated_keys():
+    # The form perfbench/layers.py builds it in: a one-shot generator over
+    # points, where distinct points share an (a, b, c) key.
+    points = [(3, 3, 3, 1), (3, 3, 3, 2), (1, 2, 3, 1), (4, 4, 4, 1), (1, 2, 3, 5)]
+    idx = DominanceMaxIndex((a, b, c) for a, b, c, _ in points)
+    for key in [(3, 3, 3), (1, 2, 3), (4, 4, 4)]:
+        idx.insert_or_raise(key, 0, "zero")  # a value of 0 stores nothing
+    assert idx.query_max_strict(0, 0, 0) == (0, None)
+    idx.insert_or_raise((3, 3, 3), 7, "first")
+    idx.insert_or_raise((3, 3, 3), 7, "tie")  # not larger: payload stays
+    assert idx.query_max_strict(0, 0, 0) == (7, "first")
+    idx.insert_or_raise((4, 4, 4), 7, "later key")
+    assert idx.query_max_strict(0, 0, 0) == (7, "first")  # first declared maximal key
+    assert idx.query_max_strict(3, 3, 3) == (7, "later key")
+    idx.insert_or_raise((1, 2, 3), 9, "low")
+    assert idx.query_max_strict(0, 1, 2) == (9, "low")
+    assert idx.query_max_strict(1, 1, 2) == (7, "first")  # a = 1 is not strictly greater
+    assert idx.query_max_strict(4, 0, 0) == (0, None)
+    with pytest.raises(ValueError):
+        idx.insert_or_raise((3, 3, 4), 1)
+
+
 def test_longest_chain_empty():
     assert longest_chain([]) is None
 

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from conftest import byte_seqs, random_pair
 import lcps
-from lcps import (CapacityExceeded, brute_force_lcps, dp_lcps, fill_table, geometric_lcps,
-                  validate_witness)
+from lcps import (CapacityExceeded, brute_force_lcps, dp_lcps, dp_solver, fill_table,
+                  geometric_lcps, validate_witness)
 from lcps.bench import GenSpec, generate
 from lcps.geometry import rect_count
 from lcps.match_index import build_match_set
@@ -58,6 +58,33 @@ def test_known_witness():
     assert r.z == b"aa"
     assert r.x_indices == (1, 2)
     assert r.y_indices == (1, 3)
+    # An x-side drop that keeps the value comes before a peel: dropping x's
+    # first "a" keeps 2, so the walk peels the tightest pair of "aa" inside.
+    r = dp_lcps(b"aaa", b"aa")
+    assert r.z == b"aa"
+    assert r.x_indices == (2, 3)
+    assert r.y_indices == (1, 2)
+
+
+def test_traceback_with_the_shorter_input_on_the_x_side():
+    # dp_lcps puts the longer input on the x side; the walk has to hold for
+    # either orientation and for one- to three-character x windows.
+    rng = random.Random(505)
+    pairs = [(b"a", b"b" * 39 + b"a"), (b"ab", b"ba" * 20), (b"aba", b"a" * 40)]
+    for n in (1, 2, 3):
+        for m in (1, 2, 5, 17, 40):
+            for sigma in (1, 2, 4):
+                letters = b"abcd"[:sigma]
+                pairs.append((bytes(rng.choice(letters) for _ in range(n)),
+                              bytes(rng.choice(letters) for _ in range(m))))
+    pairs += [random_pair(rng, max_len=12) for _ in range(200)]
+    for x, y in pairs:
+        if len(x) >= len(y):
+            x, y = y, x
+        t = fill_table(x, y)
+        r = dp_solver._traceback(t)
+        assert validate_witness(r, x, y), (x, y, r)
+        assert r.length == t.root, (x, y, r)
 
 
 def test_length_one_result_is_a_common_symbol():
