@@ -79,6 +79,20 @@ class SolverRun(NamedTuple):
             raise InvalidWitness(f"{self.name} produced an invalid witness {self.result}")
 
 
+class SolverDisagreement(RuntimeError):
+    """Solvers that answered one input returned different lengths."""
+
+
+def check_runs(runs: list[SolverRun], where: str = "") -> None:
+    """Raise SolverDisagreement, naming where, if the runs that answered
+    differ in length; then InvalidWitness if one witness is invalid."""
+    lengths = {run.name: run.result.length for run in runs if run.declined is None}
+    if len(set(lengths.values())) > 1:
+        raise SolverDisagreement(f"solver disagreement{where}: {lengths}")
+    for run in runs:
+        run.check()
+
+
 def run_solver(name: str, caps, x: bytes, y: bytes, repetitions: int = 1) -> SolverRun:
     """Call SOLVERS[name] repetitions times on (x, y) and validate the last
     result; CapacityExceeded or InputTooLarge makes the run a decline."""
@@ -100,9 +114,9 @@ def run_suite(
 
     Rows carry the instance parameters, the match count r, the result length,
     and a status: "ok", or the capacity error class name when a solver
-    declined the instance. Lengths of all solvers that ran on one spec must
-    agree; a mismatch raises RuntimeError since it means a solver is wrong.
-    Then every witness must validate, or InvalidWitness is raised.
+    declined the instance. check_runs then raises SolverDisagreement when
+    the solvers that ran on one spec differ in length, since it means a
+    solver is wrong, and InvalidWitness when a witness does not validate.
     """
     algos = list(algos)
     rows = []
@@ -115,9 +129,5 @@ def run_suite(
                   "median_ms": run.ms,
                   "status": "ok" if run.declined is None else type(run.declined).__name__}
                  for run in runs]
-        lengths = {run.name: run.result.length for run in runs if run.declined is None}
-        if len(set(lengths.values())) > 1:
-            raise RuntimeError(f"solver disagreement on {spec}: {lengths}")
-        for run in runs:
-            run.check()
+        check_runs(runs, f" on {spec}")
     return rows

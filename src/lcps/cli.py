@@ -4,8 +4,8 @@ Inputs are byte strings given as literals (-x/-y) or files (--x-file/--y-file),
 optionally parsed as FASTA. All indices printed anywhere are 1-based.
 
 Exit codes: 0 success, 2 usage error, 3 I/O error, 4 capacity exhausted on
-every applicable algorithm, 5 solver disagreement from the compare command,
-or an invalid witness from solve, compare or bench.
+every applicable algorithm, 5 solver disagreement from compare or bench, or
+an invalid witness from solve, compare or bench.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import json
 import sys
 from pathlib import Path
 
-from .bench import SOLVERS, GenSpec, run_solver, run_suite
+from .bench import SOLVERS, GenSpec, SolverDisagreement, check_runs, run_solver, run_suite
 from .core import CapacityExceeded, InputTooLarge, InvalidWitness
 from .dp_solver import DEFAULT_CELL_CAP
 from .geometry import DEFAULT_RECT_CAP, rect_count
@@ -223,20 +223,16 @@ def solve_command(args: argparse.Namespace) -> int:
 
 def compare_command(args: argparse.Namespace) -> int:
     """Run every applicable solver; a solver that declines is reported and the
-    rest are compared. Every solver declining is a capacity error."""
+    rest go through check_runs. Every solver declining is a capacity error."""
     x, y = _load_inputs(args)
     algos = ["dp", "geom"] + (["oracle"] if len(x) <= MAX_ORACLE_LEN else [])
     runs = []
     for name in algos:
         runs.append(run_solver(name, args, x, y))
         print(runs[-1].line())
-    ran = [run for run in runs if run.declined is None]
-    if not ran:
+    if all(run.declined for run in runs):
         raise runs[-1].declined
-    lengths = {run.name: run.result.length for run in ran}
-    if len(set(lengths.values())) > 1 or not all(run.valid for run in ran):
-        print(f"disagreement: {lengths}", file=sys.stderr)
-        return EXIT_MISMATCH
+    check_runs(runs)
     return EXIT_OK
 
 
@@ -264,6 +260,7 @@ EXIT_CODES = {
     CapacityExceeded: EXIT_CAPACITY,
     InputTooLarge: EXIT_CAPACITY,
     InvalidWitness: EXIT_MISMATCH,
+    SolverDisagreement: EXIT_MISMATCH,
 }
 
 

@@ -105,11 +105,11 @@ def _cross(na: np.ndarray, nb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             np.repeat(np.cumsum(nb) - nb, per) + t % nb_rep)
 
 
-def _pairs(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs (s, t), s < t, inside each of consecutive groups of n
-    items, group by group; group g has C(n[g], 2) of them."""
+def _pairs(n: np.ndarray, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (s, t), s < t, inside each kept one of consecutive groups
+    of n items, group by group; kept group g has C(n[g], 2) of them."""
     offset = _ranges(n)
-    later = np.repeat(n, n) - offset - 1
+    later = (np.repeat(n, n) - offset - 1) * np.repeat(keep, n)
     s = np.repeat(np.arange(len(offset)), later)
     return s, s + 1 + _ranges(later)
 
@@ -120,7 +120,8 @@ def rect_columns(ms: MatchSet, max_rects: int = DEFAULT_RECT_CAP) -> RectColumns
     Symbols with no occurrence on one side have no rectangles. Raises
     CapacityExceeded, before building anything, when the exact count
     rect_count(ms) exceeds max_rects. The strict pairs come first, symbol
-    by symbol, then the degenerates.
+    by symbol, then the degenerates. A side's pairs are built only for the
+    symbols both sides hold twice, so no array outgrows that count.
     """
     count = rect_count(ms)
     if count > max_rects:
@@ -130,9 +131,10 @@ def rect_columns(ms: MatchSet, max_rects: int = DEFAULT_RECT_CAP) -> RectColumns
     # The positions of the symbols present on both sides, grouped by symbol.
     xs = ms.x_pos[np.repeat((np.cumsum(ms.x_count) - ms.x_count)[both], cx) + _ranges(cx)]
     ys = ms.y_pos[np.repeat((np.cumsum(ms.y_count) - ms.y_count)[both], cy) + _ranges(cy)]
-    xi, xk = _pairs(cx)
-    yj, yl = _pairs(cy)
-    u, v = _cross(cx * (cx - 1) // 2, cy * (cy - 1) // 2)
+    strict = (cx > 1) & (cy > 1)
+    xi, xk = _pairs(cx, strict)
+    yj, yl = _pairs(cy, strict)
+    u, v = _cross(cx * (cx - 1) // 2 * strict, cy * (cy - 1) // 2 * strict)
     di, dj = _cross(cx, cy)
     cols = np.empty((5, count), np.int32)
     cols[0] = np.concatenate((xs[xi[u]], xs[di]))

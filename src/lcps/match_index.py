@@ -3,13 +3,13 @@
 A match is a position pair (i, j) with x[i] == y[j] (1-based). Matches are
 never listed, since their count can be quadratic in the input lengths: each
 input's positions are kept grouped by symbol, with one occurrence count per
-each of the 256 symbols, and a symbol's matches are the cross product of
-its positions in x and in y. One numpy pass per input builds them.
+each of the 256 symbols. A symbol's matches are the cross product of its
+x_s positions in x and its y_s positions in y; per_sigma gives only their
+count x_s * y_s. One numpy pass per input builds the arrays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -20,17 +20,11 @@ class Match(NamedTuple):
     j: int  # 1-based position in y
 
 
-@dataclass(frozen=True)
-class SigmaMatchSet:
-    """All matches for one symbol: the cross product x_occ x y_occ."""
+class SigmaMatchSet(NamedTuple):
+    """One symbol's match count: r_sigma = x_s * y_s."""
 
     sigma: int
-    x_occ: tuple[int, ...]
-    y_occ: tuple[int, ...]
-
-    @property
-    def r_sigma(self) -> int:
-        return len(self.x_occ) * len(self.y_occ)
+    r_sigma: int
 
 
 class MatchSet(NamedTuple):
@@ -53,11 +47,10 @@ class MatchSet(NamedTuple):
 
     @property
     def per_sigma(self) -> tuple[SigmaMatchSet, ...]:
-        """The match set of each symbol in both inputs, by ascending symbol."""
-        x_occ = np.split(self.x_pos, np.cumsum(self.x_count)[:-1])
-        y_occ = np.split(self.y_pos, np.cumsum(self.y_count)[:-1])
-        return tuple(SigmaMatchSet(s, tuple(xo.tolist()), tuple(yo.tolist()))
-                     for s, (xo, yo) in enumerate(zip(x_occ, y_occ)) if xo.size and yo.size)
+        """The match count of each symbol in both inputs, by ascending symbol."""
+        r = self.x_count * self.y_count
+        both = np.flatnonzero(r)
+        return tuple(map(SigmaMatchSet._make, zip(both.tolist(), r[both].tolist())))
 
 
 def build_match_set(x: bytes, y: bytes) -> MatchSet:

@@ -297,6 +297,22 @@ def test_geometric_peak_memory_per_rectangle():
     assert peak <= 200 * count
 
 
+@pytest.mark.parametrize("x, y", [(b"a" * 3000, b"a"), (b"a", b"a" * 3000)],
+                         ids=["x-repeats", "y-repeats"])
+def test_geometric_peak_memory_where_one_side_holds_a_symbol_once(x, y):
+    # 3000 degenerates and no strict pair; the repeated side's 4.5 M pairs
+    # of positions must not be built
+    count = rect_count(build_match_set(x, y))
+    assert count == 3000
+    tracemalloc.start()
+    try:
+        assert geometric_lcps(x, y).length == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 200 * count
+
+
 def test_geometric_agrees_with_dp_past_oracle_limit():
     rng = random.Random(2121)
     for _ in range(40):

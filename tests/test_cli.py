@@ -153,6 +153,24 @@ def test_compare_disagreement_exits_5(capsys, monkeypatch):
     assert "disagreement" in err
 
 
+def test_compare_invalid_witness_of_the_right_length_exits_5(capsys, monkeypatch):
+    # length 2 like dp's and the oracle's, but x[3] is b, not a
+    monkeypatch.setitem(cli.SOLVERS, "geom",
+                        lambda cfg, x, y: CpsResult(2, b"aa", (1, 3), (1, 3)))
+    code, out, err = run(capsys, "compare", "-x", "aab", "-y", "aba")
+    assert code == 5
+    assert [line.split(":")[0] for line in out.strip().splitlines()] == ["dp", "geom", "oracle"]
+    assert err.startswith("error: geom produced an invalid witness")
+    assert "disagreement" not in err
+
+
+def test_bench_command_exits_5_on_solver_disagreement(capsys, monkeypatch):
+    monkeypatch.setitem(cli.SOLVERS, "geom", lambda cfg, x, y: CpsResult(99, b"", (), ()))
+    code, _, err = run(capsys, "bench", "--n-list", "6", "--seed", "5", "--reps", "1")
+    assert code == 5
+    assert err.startswith("error: solver disagreement on GenSpec(n=6, m=6, alphabet_size=2, seed=5)")
+
+
 def test_matches_golden(capsys):
     code, out, _ = run(capsys, "matches", "-x", "aab", "-y", "aba")
     assert code == 0

@@ -2,6 +2,7 @@ import random
 from collections import Counter
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -200,6 +201,32 @@ def test_decompose_is_a_nested_chain_with_degenerate_last():
         assert all(q.weight == 2 for q in out[:-1])
         if r.length % 2:
             assert out[-1].weight == 1
+
+
+def literal_columns(x, y):
+    """rect_columns' rows by double loops: every symbol's strict pairs, x
+    pair by y pair, symbol by symbol, then every symbol's degenerates."""
+    strict, degenerate = [], []
+    for s in sorted(set(x) & set(y)):
+        xs = [i for i, ch in enumerate(x, 1) if ch == s]
+        ys = [j for j, ch in enumerate(y, 1) if ch == s]
+        strict += [(i, j, -k, -l, 2) for i, k in combinations(xs, 2) for j, l in combinations(ys, 2)]
+        degenerate += [(i, j, -i, -j, 1) for i in xs for j in ys]
+    return strict + degenerate
+
+
+def test_rect_columns_where_one_side_holds_a_symbol_once():
+    rng = random.Random(1313)
+    pairs = [(b"aaa", b"a"), (b"a", b"aaa"), (b"aaab", b"abb"), (b"abab", b"bbba"),
+             (b"zaaz", b"azz"), (b"a" * 40, b"ba")]
+    while len(pairs) < 150:
+        x, y = random_pair(rng, max_len=12, max_sigma=5)
+        once = bytes(sorted(set(y), key=y.index))  # each of y's symbols once
+        pairs += [(x, once), (once, x)]
+    for x, y in pairs:
+        cols = rect_columns(build_match_set(x, y))
+        assert all(col.dtype == np.int32 for col in cols)
+        assert list(zip(*(col.tolist() for col in cols))) == literal_columns(x, y)
 
 
 def test_rect_columns_are_read_only():

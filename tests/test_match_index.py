@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from conftest import random_pair
@@ -7,8 +8,22 @@ from lcps.geometry import enumerate_rectangles, rect_count
 from lcps.match_index import Match, build_match_set
 
 
+def grouped(pos, count):
+    """A side's positions cut into one tuple per symbol by its counts."""
+    ends = np.cumsum(count).tolist()
+    return [tuple(pos[end - c:end].tolist()) for end, c in zip(ends, count.tolist())]
+
+
 def occurrences(x, y):
-    return {s.sigma: (s.x_occ, s.y_occ) for s in build_match_set(x, y).per_sigma}
+    """Each symbol on both sides: its positions in x and in y, read from the
+    match set's arrays; per_sigma must name the same symbols, with
+    r_sigma = x_s * y_s."""
+    ms = build_match_set(x, y)
+    pairs = zip(grouped(ms.x_pos, ms.x_count), grouped(ms.y_pos, ms.y_count))
+    occ = {s: (xo, yo) for s, (xo, yo) in enumerate(pairs) if xo and yo}
+    assert [(s.sigma, s.r_sigma) for s in ms.per_sigma] == [
+        (s, len(xo) * len(yo)) for s, (xo, yo) in occ.items()]
+    return occ
 
 
 def test_occurrence_lists_example():
@@ -30,7 +45,8 @@ def test_occurrence_lists_same_string():
 def test_match_set_example():
     ms = build_match_set(b"aab", b"aba")
     assert ms.r == 5
-    by_sigma = {s.sigma: {Match(i, j) for i in s.x_occ for j in s.y_occ} for s in ms.per_sigma}
+    by_sigma = {s: {Match(i, j) for i in xo for j in yo}
+                for s, (xo, yo) in occurrences(b"aab", b"aba").items()}
     assert by_sigma == {
         ord("a"): {Match(1, 1), Match(1, 3), Match(2, 1), Match(2, 3)},
         ord("b"): {Match(3, 2)},
@@ -48,12 +64,14 @@ def test_match_set_full_product():
     assert ms.r == 4
     (s,) = ms.per_sigma
     assert s.r_sigma == 4
+    assert occurrences(b"aa", b"aa") == {ord("a"): ((1, 2), (1, 2))}
 
 
 def test_r_sigma_is_product_of_occurrence_counts():
     ms = build_match_set(b"abab", b"bba")
     for s in ms.per_sigma:
-        assert s.r_sigma == len(s.x_occ) * len(s.y_occ)
+        assert s.r_sigma == ms.x_count[s.sigma] * ms.y_count[s.sigma]
+        assert type(s.sigma) is int and type(s.r_sigma) is int
     assert ms.r == sum(s.r_sigma for s in ms.per_sigma)
 
 
@@ -100,7 +118,10 @@ def test_match_set_over_every_octet():
     assert set().union(*(x + y for x, y in pairs)) == set(range(256))
     for x, y in pairs:
         ms = build_match_set(x, y)
-        assert [(s.sigma, s.x_occ, s.y_occ) for s in ms.per_sigma] == literal_grouping(x, y)
+        assert [(s, *occ) for s, occ in occurrences(x, y).items()] == literal_grouping(x, y)
+        for seq, pos, count in ((x, ms.x_pos, ms.x_count), (y, ms.y_pos, ms.y_count)):
+            assert grouped(pos, count) == [tuple(i for i, ch in enumerate(seq, 1) if ch == s)
+                                           for s in range(256)]
         assert ms.r == sum(cx == cy for cx in x for cy in y)
         assert rect_count(ms) == len(enumerate_rectangles(ms))
 
