@@ -10,9 +10,12 @@ right half, and then solves the right half. Each feed is a static strict
 3-D dominance maximum, answered by median splits on the first coordinate
 (leaving a 2-D problem) and on the second (leaving a 1-D one, solved by a
 sort and running maxima), with small pairs of sets compared directly.
-Everything runs on numpy columns. best_chain runs the whole sequence (sweep
-order, chain values, then a walk from the best point to a dominating point
-of the right value) for both longest_chain and geometric_lcps.
+Everything runs on numpy rows of one (5, P) point array, the layout
+rect_columns builds. best_chain runs the whole sequence (one lexsort into
+sweep order, chain values, then a walk from the best point to a dominating
+point of the right value) for both longest_chain and geometric_lcps.
+geometric_lcps puts the longer input on the x side, as dp_lcps does: a
+one-character y then gives one group of equal last coordinate and no feed.
 
 DominanceMaxIndex is a stand-alone online form of the same strict 3-D
 dominance query, a masked scan over declared keys; the solver does not use it.
@@ -27,7 +30,7 @@ from typing import Any, Iterable, Optional
 import numpy as np
 
 from .core import EMPTY_RESULT, CpsResult, InvalidWitness, assemble_result, validate_witness
-from .geometry import DEFAULT_RECT_CAP, Point4, RectColumns, rect_columns
+from .geometry import DEFAULT_RECT_CAP, Point4, rect_columns
 from .match_index import build_match_set
 
 # A left and a right point set with at most this many pairs between them are
@@ -136,19 +139,13 @@ def dominance_max(left: tuple, values: np.ndarray, right: tuple) -> np.ndarray:
     return out
 
 
-def sweep_order(cols: RectColumns) -> np.ndarray:
-    """The permutation that sorts points by d non-increasing, then by a, b
-    and c ascending: the order of sort_points."""
-    return np.lexsort((cols.c, cols.b, cols.a, -cols.d))
-
-
-def chain_values(cols: RectColumns) -> np.ndarray:
+def chain_values(cols: np.ndarray) -> np.ndarray:
     """Each point's best chain value: its weight plus the largest chain
     value among the points strictly dominating it in all four coordinates.
 
-    cols must be in sweep order (d non-increasing). The divide and conquer
-    splits at the middle group boundary, so its depth is log2 of the number
-    of distinct d values.
+    cols holds rows a, b, c, d and w, its points in sweep order (d
+    non-increasing). The divide and conquer splits at the middle group
+    boundary, so its depth is log2 of the number of distinct d values.
     """
     a, b, c, d, w = cols
     inner = np.zeros_like(w)
@@ -169,17 +166,21 @@ def chain_values(cols: RectColumns) -> np.ndarray:
     return w + inner
 
 
-def best_chain(cols: RectColumns) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of cols on one maximum-weight chain, outermost first, and each
-    row's chain value. cols must have at least one row.
+def best_chain(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Columns of cols (rows a, b, c, d and w) on one maximum-weight chain,
+    outermost first, and each one's chain value. cols must hold a point.
 
-    Computes chain_values in sweep order, then walks from the first point of
-    maximum value to the first earlier point that strictly dominates the
-    current one and holds its value minus its weight, one scan per step.
+    Sorts a copy of the points by d non-increasing, then by a, b and c
+    ascending (the order of sort_points), computes chain_values, then walks
+    from the first point of maximum value to the first earlier point that
+    strictly dominates the current one and holds its value minus its
+    weight, one scan per step.
     """
-    order = sweep_order(cols)
-    a, b, c, d, w = sorted_cols = RectColumns(*(col[order] for col in cols))
-    value = chain_values(sorted_cols)
+    a, b, c, d, _ = cols
+    order = np.lexsort((c, b, a, -d))
+    # take gathers the five rows in one pass, faster than cols[:, order]
+    a, b, c, d, w = swept = cols.take(order, axis=1)
+    value = chain_values(swept)
     p = int(np.argmax(value))
     path = [p]
     while value[p] > w[p]:
@@ -199,30 +200,33 @@ def longest_chain(points: Iterable[Point4]) -> Optional[ChainNode]:
     points = list(points)
     if not points:
         return None
-    rows, values = best_chain(RectColumns(*np.array([(p.a, p.b, p.c, p.d, p.weight)
-                                                     for p in points]).T))
+    chain, values = best_chain(np.array([(p.a, p.b, p.c, p.d, p.weight) for p in points]).T)
     node = None
-    for t, v in zip(reversed(rows.tolist()), reversed(values.tolist())):
+    for t, v in zip(reversed(chain.tolist()), reversed(values.tolist())):
         node = ChainNode(points[t], v, node)
     return node
 
 
 def geometric_lcps(x: bytes, y: bytes, max_rects: int = DEFAULT_RECT_CAP) -> CpsResult:
-    """LCPS via match set -> rectangle columns -> maximum-weight chain.
+    """LCPS via match set -> rectangle points -> maximum-weight chain.
 
     The chain is walked outward-in: each weight-2 point contributes the
     symbol at both ends, a trailing weight-1 point the center character. A
     point (a, b, c, d) has corners (a, b) and (-c, -d) and symbol x[a - 1].
+    The longer input goes on the x side, and the witness is swapped back.
     Raises CapacityExceeded when the exact rectangle count exceeds max_rects,
     and InvalidWitness if the assembled result does not embed into x and y.
     """
+    if len(x) < len(y):
+        r = geometric_lcps(y, x, max_rects)
+        return CpsResult(r.length, r.z, r.y_indices, r.x_indices)
     cols = rect_columns(build_match_set(x, y), max_rects)
-    if not len(cols.a):
+    if not cols.size:
         return EMPTY_RESULT
-    rows, _ = best_chain(cols)
+    chain, _ = best_chain(cols)
     pairs = []
     center = None
-    for a, b, c, d, w in zip(*(col[rows].tolist() for col in cols)):
+    for a, b, c, d, w in zip(*cols[:, chain].tolist()):
         if w == 2:
             pairs.append((x[a - 1], a, -c, b, -d))
         else:

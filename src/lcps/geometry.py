@@ -8,19 +8,20 @@ equals total weight along a chain of nested rectangles. Negating the upper
 corner turns strict nesting into strict 4-way dominance of points, which is
 what the chain solver consumes.
 
-rect_columns builds every rectangle at once as int32 point columns from a
-match set's occurrence arrays, by vectorised cross products over all
-symbols together. enumerate_rectangles and rect_to_point are object views
-of the same rectangles. rect_count gives the exact rectangle count from the
-occurrence counts alone; it is the one count the size cap (checked before
-anything is built) and the CLI's solver choice use.
+rect_columns builds every rectangle at once as one read-only (5, P) int32
+array, rows a, b, c, d and w (the point and its weight), from a match set's
+occurrence arrays, by vectorised cross products over all symbols together.
+enumerate_rectangles and rect_to_point are object views of the same
+rectangles. rect_count gives the exact rectangle count from the occurrence
+counts alone; it is the one count the size cap (checked before anything is
+built) and the CLI's solver choice use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 import numpy as np
 
@@ -63,18 +64,6 @@ class Point4:
     weight: int
 
 
-class RectColumns(NamedTuple):
-    """Rectangles as equal-length integer columns (int32 from rect_columns),
-    one row per rectangle: the point (a, b, c, d) = (i, j, -k, -l) of
-    corners (i, j) and (k, l), and the weight w."""
-
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    d: np.ndarray
-    w: np.ndarray
-
-
 def rect_total(counts: Iterable[tuple[int, int]]) -> int:
     """Exact number of rectangles from per-symbol occurrence counts (x_s, y_s).
 
@@ -114,8 +103,10 @@ def _pairs(n: np.ndarray, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return s, s + 1 + _ranges(later)
 
 
-def rect_columns(ms: MatchSet, max_rects: int = DEFAULT_RECT_CAP) -> RectColumns:
-    """Every rectangle, as columns, from a match set's occurrence arrays.
+def rect_columns(ms: MatchSet, max_rects: int = DEFAULT_RECT_CAP) -> np.ndarray:
+    """Every rectangle, as a read-only (5, P) int32 array, from a match set's
+    occurrence arrays: column t is rectangle t's point (a, b, c, d) =
+    (i, j, -k, -l) of corners (i, j) and (k, l), and its weight w.
 
     Symbols with no occurrence on one side have no rectangles. Raises
     CapacityExceeded, before building anything, when the exact count
@@ -126,11 +117,11 @@ def rect_columns(ms: MatchSet, max_rects: int = DEFAULT_RECT_CAP) -> RectColumns
     count = rect_count(ms)
     if count > max_rects:
         raise CapacityExceeded(f"{count} rectangles exceed the cap of {max_rects}")
-    both = np.flatnonzero((ms.x_count > 0) & (ms.y_count > 0))
+    both = (ms.x_count > 0) & (ms.y_count > 0)
     cx, cy = ms.x_count[both], ms.y_count[both]
     # The positions of the symbols present on both sides, grouped by symbol.
-    xs = ms.x_pos[np.repeat((np.cumsum(ms.x_count) - ms.x_count)[both], cx) + _ranges(cx)]
-    ys = ms.y_pos[np.repeat((np.cumsum(ms.y_count) - ms.y_count)[both], cy) + _ranges(cy)]
+    xs = ms.x_pos[np.repeat(both, ms.x_count)]
+    ys = ms.y_pos[np.repeat(both, ms.y_count)]
     strict = (cx > 1) & (cy > 1)
     xi, xk = _pairs(cx, strict)
     yj, yl = _pairs(cy, strict)
@@ -144,7 +135,7 @@ def rect_columns(ms: MatchSet, max_rects: int = DEFAULT_RECT_CAP) -> RectColumns
     cols[4, :len(u)], cols[4, len(u):] = 2, 1
     np.negative(cols[2:4], out=cols[2:4])
     cols.setflags(write=False)
-    return RectColumns(*cols)
+    return cols
 
 
 def enumerate_rectangles(ms: MatchSet, max_rects: int = DEFAULT_RECT_CAP) -> list[Rect]:
@@ -158,7 +149,7 @@ def enumerate_rectangles(ms: MatchSet, max_rects: int = DEFAULT_RECT_CAP) -> lis
     symbol = np.zeros(len(ms.x_pos) + 1, np.int64)  # symbol[i]: the symbol x[i - 1]
     symbol[ms.x_pos] = np.repeat(np.arange(256), ms.x_count)
     return [Rect(s, Match(a, b), Match(-c, -d), w)
-            for s, a, b, c, d, w in zip(symbol[cols.a].tolist(), *(col.tolist() for col in cols))]
+            for s, a, b, c, d, w in zip(symbol[cols[0]].tolist(), *cols.tolist())]
 
 
 def rect_to_point(r: Rect) -> Point4:

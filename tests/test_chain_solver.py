@@ -313,6 +313,20 @@ def test_geometric_peak_memory_where_one_side_holds_a_symbol_once(x, y):
     assert peak <= 200 * count
 
 
+def test_geometric_puts_the_longer_input_on_the_x_side(monkeypatch):
+    # With x = a and y = a*3000 on their own sides, every degenerate has its
+    # own last coordinate and chain_values feeds 2999 times; swapped, the
+    # 3000 points share one and nothing is fed.
+    calls = []
+    feed = chain_solver.dominance_max
+    monkeypatch.setattr(chain_solver, "dominance_max",
+                        lambda *args: calls.append(1) or feed(*args))
+    x, y = b"a", b"a" * 3000
+    r = geometric_lcps(x, y)
+    assert len(calls) == 0
+    assert r.length == 1 and validate_witness(r, x, y)
+
+
 def test_geometric_agrees_with_dp_past_oracle_limit():
     rng = random.Random(2121)
     for _ in range(40):

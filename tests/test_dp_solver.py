@@ -296,6 +296,7 @@ def test_peak_memory_at_the_default_caps_largest_square():
 @given(byte_seqs(max_size=8), byte_seqs(max_size=8))
 def test_length_invariant_under_swap(x, y):
     assert dp_lcps(x, y).length == dp_lcps(y, x).length
+    assert geometric_lcps(x, y).length == geometric_lcps(y, x).length
 
 
 @settings(max_examples=60, deadline=None)
@@ -320,7 +321,9 @@ def test_dp_agrees_with_geom_past_oracle_limit(pair):
     d = dp_lcps(x, y)
     assert validate_witness(d, x, y)
     if rect_count(build_match_set(x, y)) <= 50_000:
-        assert geometric_lcps(x, y).length == d.length
+        g = geometric_lcps(x, y)
+        assert g.length == d.length
+        assert validate_witness(g, x, y)
 
 
 def test_thin_shape_peak_is_the_longer_side_table():

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import random_pair
 from lcps import CapacityExceeded, CpsResult, InvalidWitness, brute_force_lcps
+from lcps.chain_solver import best_chain
 from lcps.geometry import (
     DEFAULT_RECT_CAP,
     Match,
@@ -230,7 +231,14 @@ def test_rect_columns_where_one_side_holds_a_symbol_once():
 
 
 def test_rect_columns_are_read_only():
-    cols = rect_columns(build_match_set(b"aab", b"aba"))
+    ms = build_match_set(b"aab", b"aba")
+    cols = rect_columns(ms)
+    assert type(cols) is np.ndarray
+    assert cols.shape == (5, rect_count(ms))
+    assert cols.dtype == np.int32 and not cols.flags.writeable
     for col in cols:
         with pytest.raises(ValueError):
             col[:1] = 99
+    before = cols.copy()
+    best_chain(cols)
+    assert np.array_equal(cols, before)
