@@ -32,14 +32,13 @@ i and all y windows of that length are one contiguous slab:
      empty or there is no pair) plus c's gain (2 where there is a pair, else
      0). Only a symbol that y holds twice can raise a row.
 
-The rows of step 3 depend on x and on which symbols y holds twice, not on
-the table, so they are listed once per call: for each x length its starts,
-their symbols' rows of the inner-window and gain arrays, and their row
-offsets, from one comparison of x with its shifts. The list is built for
-blocks of consecutive lengths, each taking at most a sixteenth of the
-table's bytes by a bound on its rows, so it adds little to the fill's peak
-even where most starts are equal-ended (x = a...a). Every input of the
-benchmark's dense-dp and mixed-auto workloads fits in one block.
+The inner-window column and gain of step 3 depend on a start's symbol and
+the y window, not on the table, so they are gathered once per call into
+one row per x start, with the row offset of start i + 1 already added; a
+start whose symbol is not paired reads the zero column and gains 0. Each
+x length then finds its equal-ended starts with one comparison of x's
+symbol keys with their shift by x_len - 1, where every unpaired start
+holds a key of its own and so ends no peel.
 
 Step 3 is the y-side drops unrolled: following them from (k, l) reaches
 every y window inside it, so the recurrence's value is the maximum, over
@@ -132,82 +131,41 @@ def fill_table(x: bytes, y: bytes, max_cells: int = DEFAULT_CELL_CAP) -> DpTable
     # Only symbols that both inputs hold twice can end a peel. Per such symbol
     # and y window: the column of the tightest pair's inner window (a, b), or
     # the zero column where it is empty or there is no pair, and the gain, 2
-    # where the window holds a pair and 0 where it does not.
+    # where the window holds a pair and 0 where it does not. The last row, the
+    # zero column and no gain, stands for every other symbol.
     paired = (in_x >= 2) & (in_y >= 2)  # by octet
     held = np.searchsorted(symbols, np.flatnonzero(paired))  # their rows of nxt and prv
     a = nxt.take(held, axis=0).take(k, axis=1) + 1
     b = prv.take(held, axis=0).take(l, axis=1) - 1
     del k, l
-    inner = np.full((len(a), width), windows)
-    inner[:, :windows] = np.where(a <= b, _column(a, b, m), windows)
-    gain = np.zeros((len(a), width), dtype=planes.dtype)
-    gain[:, :windows] = 2 * (a <= b + 1)
+    inner = np.full((len(a) + 1, width), windows)
+    inner[:-1, :windows] = np.where(a <= b, _column(a, b, m), windows)
+    gain = np.zeros((len(a) + 1, width), dtype=planes.dtype)
+    gain[:-1, :windows] = 2 * (a <= b + 1)
     del a, b
-    # The list of equal-ended rows may take a sixteenth of the table's bytes,
-    # so the fill peaks near the table even where every start is listed.
-    for lx, rows, c, offsets in _equal_ended_rows(xs, in_x * paired, width, planes.nbytes // 16):
+    slot = np.full(256, len(held))
+    slot[paired] = np.arange(len(held))
+    row = slot.take(xs)  # start i's row of inner and gain
+    # Per start i: where its peel reads in the flat plane x_len - 2 (row i + 1,
+    # at the inner window's column) and what it gains.
+    peel_at = inner.take(row, axis=0)
+    peel_at += np.arange(width, (n + 1) * width, width)[:, None]
+    gain = gain.take(row, axis=0)
+    del inner
+    # Starts i and j = i + x_len - 1 end a peel together exactly when their
+    # keys are equal: a paired symbol's row, or a negative key of its own.
+    key = np.where(row < len(held), row, -1 - np.arange(n))
+    for lx in range(2, n + 1):
         count = n - lx + 1  # valid starts i = 0..n-lx
         slab = planes[lx, :count]
         np.maximum(planes[lx - 1, 1 : count + 1], planes[lx - 1, :count], out=slab)
+        rows = np.flatnonzero(key[:count] == key[lx - 1 :])
         if len(rows):
-            idx = inner.take(c, axis=0)
-            idx += offsets[:, None]
-            peel = planes[lx - 2].take(idx)
-            peel += gain.take(c, axis=0)
+            peel = planes[lx - 2].take(peel_at.take(rows, axis=0))
+            peel += gain.take(rows, axis=0)
             slab[rows] = np.maximum(slab.take(rows, axis=0), peel, out=peel)
-        del rows, c, offsets  # a block's list is freed before the next is built
     planes.setflags(write=False)
     return DpTable(x, y, planes)
-
-
-def _equal_ended_rows(xs: np.ndarray, counts: np.ndarray, width: int, budget: int):
-    """Yield (x_len, starts, slots, offsets) for x_len = 2..n in order.
-
-    counts[s] is how often x holds octet s if s is a paired symbol (one that
-    both inputs hold twice), else 0.
-    The starts are the i, ascending, where x[i] == x[i + x_len - 1] is a
-    paired symbol. Each comes with that symbol's slot, its rank among the
-    paired symbols (its row of inner and gain), and the offset (i + 1)*width
-    of row i + 1 in a flat plane.
-
-    The lists are built for blocks of consecutive lengths, each from one
-    comparison of x with its shifts. A block of D lengths takes D*n bytes
-    for the comparison, then 18 bytes per row (8 for the start, 8 for the
-    offset, 2 for the slot). It has at most n - 1 rows per length, and all
-    lengths together have one row per pair of equal paired symbols in x. A
-    block takes as many lengths as these bounds fit in `budget` bytes, and
-    at least one.
-    """
-    n = len(xs)
-    pairs = int(counts @ (counts - 1)) // 2
-    none = np.empty(0, dtype=np.intp)
-    if not pairs:  # no length has a row: nothing to compare
-        for lx in range(2, n + 1):
-            yield lx, none, none, none
-        return
-    # lengths per block: by n - 1 rows per length, or by all pairs at once
-    span = max(1, budget // (19 * n - 18), (budget - 18 * pairs) // n)
-    slot = np.full(256, -1, dtype=np.int16)
-    slot[counts > 0] = np.arange(np.count_nonzero(counts))
-    # xr[d : d + n] is x's slots shifted left by d and padded with -1; a
-    # start whose symbol is not paired compares as -2, which matches nothing.
-    xr = np.full(2 * n, -1, dtype=np.int16)
-    key = slot.take(xs, out=xr[:n])
-    left = np.where(key < 0, -2, key)
-    for lo in range(2, n + 1, span):
-        d = min(span, n + 1 - lo)  # lengths lo .. lo + d - 1: shifts lo - 1 ..
-        shifted = np.ndarray((d, n), np.int16, buffer=xr, offset=(lo - 1) * xr.itemsize,
-                             strides=(xr.itemsize, xr.itemsize))
-        hits = np.flatnonzero(shifted == left)  # by length, then start
-        bounds = np.searchsorted(hits, np.arange(0, (d + 1) * n, n)).tolist()
-        starts = np.remainder(hits, n, out=hits)
-        slots = key.take(starts)
-        offsets = starts + 1
-        offsets *= width
-        for t in range(d):
-            s, e = bounds[t], bounds[t + 1]
-            yield lo + t, starts[s:e], slots[s:e], offsets[s:e]
-        del hits, starts, slots, offsets
 
 
 def dp_lcps(x: bytes, y: bytes, max_cells: int = DEFAULT_CELL_CAP) -> CpsResult:

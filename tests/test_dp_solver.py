@@ -263,50 +263,10 @@ def test_every_cell_obeys_the_recurrence_on_random_shapes():
             _assert_obeys_the_recurrence(x, y)
 
 
-def test_equal_ended_rows_follow_their_definition_at_any_block_size():
-    # Whatever the budget, from one length per block to one block for all of
-    # them, every x length gets exactly its starts i with x[i] == x[j] a
-    # paired symbol, each with that symbol's slot and the offset of row i + 1.
-    rng = random.Random(1616)
-    pairs = [(b"a" * 30, b"aa"), (b"ab" * 15, b"a"), (b"abcab" * 6, b"cbbca"), (b"", b"aa"),
-             (b"a", b"aa")]
-    pairs += [random_pair(rng, max_len=40, max_sigma=5) for _ in range(40)]
-    for x, y in pairs:
-        n, width = len(x), 7
-        xs = np.frombuffer(x, dtype=np.uint8)
-        in_x = np.bincount(xs, minlength=256)
-        paired = (in_x >= 2) & (np.bincount(np.frombuffer(y, dtype=np.uint8), minlength=256) >= 2)
-        slot = np.cumsum(paired) - 1
-        for budget in (0, 19 * n, 40 * n, 2**30):
-            got = list(dp_solver._equal_ended_rows(xs, in_x * paired, width, budget))
-            assert [lx for lx, *_ in got] == list(range(2, n + 1)), (x, y, budget)
-            for lx, starts, slots, offsets in got:
-                want = [i for i in range(n - lx + 1) if x[i] == x[i + lx - 1] and paired[x[i]]]
-                assert starts.tolist() == want, (x, y, budget, lx)
-                assert slots.tolist() == [slot[x[i]] for i in want], (x, y, budget, lx)
-                assert offsets.tolist() == [(i + 1) * width for i in want], (x, y, budget, lx)
-
-
-def _fill_in_blocks(x, y, monkeypatch):
-    """fill_table(x, y), and how many blocks its list of equal-ended rows took."""
-    bases = []
-    listed = dp_solver._equal_ended_rows
-
-    def spy(*args):
-        for item in listed(*args):
-            if item[1].base is not None and not any(b is item[1].base for b in bases):
-                bases.append(item[1].base)
-            yield item
-
-    monkeypatch.setattr(dp_solver, "_equal_ended_rows", spy)
-    t = fill_table(x, y)
-    monkeypatch.undo()
-    return t, len(bases)
-
-
-def test_every_cell_obeys_the_recurrence_across_blocks(monkeypatch):
-    # Long thin shapes list their equal-ended rows in many blocks; the cells
-    # on either side of every block boundary still follow the recurrence.
+def test_every_cell_obeys_the_recurrence_across_blocks():
+    # Long thin shapes have many equal-ended starts at every x length; and
+    # where x repeats a symbol that y holds once or not at all, next to a
+    # paired one, that symbol's starts never end a peel.
     rng = random.Random(1717)
     pairs = [(b"a" * 150, b"aa"), (b"ab" * 70, b"abba")]
     for n, m in ((100, 2), (120, 3), (150, 4), (175, 5), (200, 6)):
@@ -315,21 +275,14 @@ def test_every_cell_obeys_the_recurrence_across_blocks(monkeypatch):
         while len(set(y)) == len(y):  # y holds some symbol twice
             y = bytes(rng.choice(letters) for _ in range(m))
         pairs.append((bytes(rng.choice(letters) for _ in range(n)), y))
+    pairs += [(b"ab" * 30, b"aab"), (b"abc" * 20, b"abcc"), (b"a" * 30 + b"b" * 30, b"bb"),
+              (b"a" * 50, b"a")]
     for x, y in pairs:
-        t, blocks = _fill_in_blocks(x, y, monkeypatch)
-        assert blocks > 1, (x, y)
+        t = fill_table(x, y)
         _assert_obeys_the_recurrence(x, y)
         r, s = dp_lcps(x, y), dp_lcps(y, x)
         assert r.length == s.length == t.root, (x, y)
         assert validate_witness(r, x, y) and validate_witness(s, y, x), (x, y)
-
-
-def test_inputs_of_benchmark_size_list_their_rows_in_one_block(monkeypatch):
-    # The benchmark's dp inputs (n = m = 12..36) are short: one comparison of
-    # x with its shifts lists every length's rows.
-    for n, sigma in ((12, 2), (20, 4), (32, 16), (36, 2)):
-        x, y = generate(GenSpec(n, n, sigma, 1))
-        assert _fill_in_blocks(x, y, monkeypatch)[1] == 1, (n, sigma)
 
 
 @pytest.mark.parametrize("x, y", [
@@ -338,9 +291,10 @@ def test_inputs_of_benchmark_size_list_their_rows_in_one_block(monkeypatch):
     (generate(GenSpec(2048, 0, 2, 1))[0], b"a"),  # no symbol y holds twice: no rows
 ], ids=["a1024-aa", "ab512-abab", "r2048-a"])
 def test_equal_ended_rows_add_little_to_the_table(x, y):
-    # A size cap must bound real memory: the list of equal-ended rows is built
-    # in blocks sized from the table, so even where most starts are listed
-    # the fill peaks near the table itself.
+    # A size cap must bound real memory: each x start's peel index and gain
+    # take 9 bytes per y window, and one length gathers only its own
+    # equal-ended rows, so even where most starts are equal-ended the fill
+    # peaks near the table itself.
     tracemalloc.start()
     try:
         t = fill_table(x, y)
