@@ -4,18 +4,26 @@ A point's chain value is its weight plus the largest value among the points
 that strictly dominate it in all four coordinates. Points are sorted once in
 non-increasing order of their last coordinate (the sweep order), so every
 dominating point comes earlier. An offline divide and conquer over that
-order (Bentley 1980) splits it only between groups of equal last
-coordinate, solves the left half, feeds the left half's final values to the
-right half, and then solves the right half. Each feed is a static strict
-3-D dominance maximum, answered by median splits on the first coordinate
-(leaving a 2-D problem) and on the second (leaving a 1-D one, solved by a
-sort and running maxima), with small pairs of sets compared directly.
+order (Bentley 1980) splits it into groups, solves the left half, feeds
+the left half's final values to the right half's receivers, and then
+solves the right half. A point that strictly dominates another has the
+larger a + c, so no point at the largest a + c of the set can be dominated
+(in geometric_lcps those are the degenerates, where a + c = 0); every other
+point is a receiver. A group starts where a receiver's last coordinate
+first appears in the sweep, so points before the first receiver form one
+leading group, receivers of one group share their last coordinate, and
+every point of a left half has a strictly larger last coordinate than the
+receivers it feeds. Each feed is a static strict 3-D dominance maximum,
+answered by median splits on the first coordinate (leaving a 2-D problem)
+and on the second (leaving a 1-D one, solved by a sort and running
+maxima), with small pairs of sets compared directly.
 Everything runs on numpy rows of one (5, P) point array, the layout
 rect_columns builds. best_chain runs the whole sequence (one lexsort into
 sweep order, chain values, then a walk from the best point to a dominating
 point of the right value) for both longest_chain and geometric_lcps.
-geometric_lcps puts the longer input on the x side, as dp_lcps does: a
-one-character y then gives one group of equal last coordinate and no feed.
+geometric_lcps puts the longer input on the x side, as dp_lcps does: d
+then ranges over the shorter input's positions, so there is at most one
+group more than the shorter input has characters.
 
 DominanceMaxIndex is a stand-alone online form of the same strict 3-D
 dominance query, a masked scan over declared keys; the solver does not use it.
@@ -144,12 +152,19 @@ def chain_values(cols: np.ndarray) -> np.ndarray:
     value among the points strictly dominating it in all four coordinates.
 
     cols holds rows a, b, c, d and w, its points in sweep order (d
-    non-increasing). The divide and conquer splits at the middle group
-    boundary, so its depth is log2 of the number of distinct d values.
+    non-increasing). Only points below the largest a + c (the receivers)
+    can be dominated: groups are cut where a receiver's d first appears,
+    and each feed goes from every point of the left half to the receivers
+    of the right half. The divide and conquer splits at the middle group
+    boundary, so its depth is log2 of the number of distinct receiver d
+    values.
     """
     a, b, c, d, w = cols
     inner = np.zeros_like(w)
-    bounds = [0, *(np.flatnonzero(d[1:] != d[:-1]) + 1).tolist(), len(d)]
+    receiver = a + c < (a + c).max()
+    runs = np.flatnonzero(np.diff(d, prepend=d[0] + 1))  # where each d starts
+    starts = runs[np.logical_or.reduceat(receiver, runs)]
+    bounds = sorted({0, *starts.tolist(), len(d)})
 
     def solve(g0: int, g1: int) -> None:
         if g1 - g0 < 2:
@@ -157,9 +172,10 @@ def chain_values(cols: np.ndarray) -> np.ndarray:
         gm = (g0 + g1) // 2
         solve(g0, gm)
         lo, mid, hi = bounds[g0], bounds[gm], bounds[g1]
+        m, right = receiver[mid:hi], inner[mid:hi]
         fed = dominance_max((a[lo:mid], b[lo:mid], c[lo:mid]), w[lo:mid] + inner[lo:mid],
-                            (a[mid:hi], b[mid:hi], c[mid:hi]))
-        np.maximum(inner[mid:hi], fed, out=inner[mid:hi])
+                            (a[mid:hi][m], b[mid:hi][m], c[mid:hi][m]))
+        right[m] = np.maximum(right[m], fed)
         solve(gm, g1)
 
     solve(0, len(bounds) - 1)

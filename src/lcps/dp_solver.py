@@ -55,7 +55,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import CapacityExceeded, CpsResult, assemble_result
+from .core import EMPTY_RESULT, CapacityExceeded, CpsResult, assemble_result
 
 DEFAULT_CELL_CAP = 2**26
 
@@ -170,10 +170,13 @@ def fill_table(x: bytes, y: bytes, max_cells: int = DEFAULT_CELL_CAP) -> DpTable
 
 def dp_lcps(x: bytes, y: bytes, max_cells: int = DEFAULT_CELL_CAP) -> CpsResult:
     """Fill the table and trace one maximal witness back through it. The
-    longer input goes on the x side, and the witness is swapped back."""
+    longer input goes on the x side, and the witness is swapped back. An
+    empty input answers EMPTY_RESULT without a table."""
     if len(x) < len(y):
         r = dp_lcps(y, x, max_cells)
         return CpsResult(r.length, r.z, r.y_indices, r.x_indices)
+    if not y:
+        return EMPTY_RESULT
     return _traceback(fill_table(x, y, max_cells))
 
 

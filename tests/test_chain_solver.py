@@ -23,6 +23,7 @@ from lcps.geometry import (
     Rect,
     enumerate_rectangles,
     is_chained,
+    rect_columns,
     rect_count,
     rect_to_point,
 )
@@ -225,6 +226,69 @@ def test_dominance_max_matches_naive_scan(monkeypatch, cutoff):
         assert got.tolist() == want
 
 
+def pairwise_chain_values(cols):
+    # O(P^2): each point's weight plus the best value among the points that
+    # strictly dominate it; those have a larger d, so they come first here
+    a, b, c, d, w = (k.tolist() for k in cols)
+    value = [0] * len(w)
+    for p in sorted(range(len(w)), key=lambda t: -d[t]):
+        value[p] = w[p] + max((value[q] for q in range(len(w)) if a[q] > a[p]
+                               and b[q] > b[p] and c[q] > c[p] and d[q] > d[p]), default=0)
+    return value
+
+
+# (abba, abab): the degenerate at y's first position leads the sweep, ahead
+# of every pair; (abc, cba), (a, a*9) and (a*9, a): degenerates only; the
+# a-runs: one symbol, few distinct d values.
+CUT_CASES = [(b"abba", b"abab"), (b"abc", b"cba"), (b"a", b"a" * 9), (b"a" * 9, b"a"),
+             (b"a" * 12, b"aa"), (b"aa", b"a" * 12), (b"a" * 6, b"a" * 5), (b"aab", b"abaa")]
+
+
+@pytest.mark.parametrize("cutoff", [0, 1, chain_solver.BROADCAST_CELLS])
+def test_chain_values_on_rectangle_points_match_pairwise_dp(monkeypatch, cutoff):
+    # Only points below the largest a + c receive feeds (in rect_columns'
+    # points, the strict pairs), and groups are cut only where a receiver's
+    # d starts; every point's value must still be the pairwise one.
+    monkeypatch.setattr(chain_solver, "BROADCAST_CELLS", cutoff)
+    rng = random.Random(1812)
+    cases = CUT_CASES + [random_pair(rng, max_len=14) for _ in range(60)]
+    leading = only_degenerates = 0
+    for x, y in cases:
+        cols = rect_columns(build_match_set(x, y))
+        if not cols.size:
+            continue
+        order = np.lexsort((cols[2], cols[1], cols[0], -cols[3]))
+        swept = cols[:, order]
+        receiver = swept[0] + swept[2] < 0
+        leading += bool(receiver.any() and not receiver[0])
+        only_degenerates += not receiver.any()
+        want = pairwise_chain_values(swept)
+        assert chain_solver.chain_values(swept).tolist() == want, (x, y)
+        _, values = chain_solver.best_chain(cols)
+        assert values[0] == max(want)
+        assert values[0] == chain_value_by_pairwise_dp([Point4(*col) for col in cols.T.tolist()])
+    assert leading and only_degenerates
+
+
+def test_chain_sweep_feeds_fewer_times_than_there_are_distinct_d(monkeypatch):
+    # At sparse-geom's shape 1380 of the 3345 points are degenerates, which
+    # nothing dominates; they neither cut groups nor receive feeds, so the
+    # sweep makes fewer dominance_max calls, median splits included, than
+    # there are distinct last coordinates (653 calls when every distinct d
+    # cut a group).
+    x, y = generate(GenSpec(600, 600, 256, 1))
+    cols = rect_columns(build_match_set(x, y))
+    distinct_d = len(np.unique(cols[3]))
+    assert (cols.shape[1], distinct_d) == (3345, 543)
+    calls = []
+    feed = chain_solver.dominance_max
+    monkeypatch.setattr(chain_solver, "dominance_max",
+                        lambda *args: calls.append(1) or feed(*args))
+    r = geometric_lcps(x, y)
+    assert validate_witness(r, x, y)
+    assert len(calls) < distinct_d
+
+
 def test_chain_traceback_is_sound():
     rng = random.Random(161)
     for _ in range(60):
@@ -314,13 +378,22 @@ def test_geometric_peak_memory_where_one_side_holds_a_symbol_once(x, y):
 
 
 def test_geometric_puts_the_longer_input_on_the_x_side(monkeypatch):
-    # With x = a and y = a*3000 on their own sides, every degenerate has its
-    # own last coordinate and chain_values feeds 2999 times; swapped, the
-    # 3000 points share one and nothing is fed.
+    # x = aa against y = a*60 on their own sides gives the 1770 strict pairs
+    # 59 distinct last coordinates and 71 dominance_max calls (the spy counts
+    # its median splits too); swapped, they share the one last coordinate of
+    # y's second position, and one feed from the degenerates at y's first
+    # position, four calls with its splits, is all there is. The 3000
+    # degenerates of (a, a*3000) cannot be dominated, so either order feeds
+    # nothing there.
     calls = []
     feed = chain_solver.dominance_max
     monkeypatch.setattr(chain_solver, "dominance_max",
                         lambda *args: calls.append(1) or feed(*args))
+    x, y = b"aa", b"a" * 60
+    r = geometric_lcps(x, y)
+    assert len(calls) <= 4
+    assert r.length == 2 and validate_witness(r, x, y)
+    calls.clear()
     x, y = b"a", b"a" * 3000
     r = geometric_lcps(x, y)
     assert len(calls) == 0

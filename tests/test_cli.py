@@ -27,6 +27,16 @@ def test_solve_text_empty_input(capsys):
     assert out == "0\n"
 
 
+@pytest.mark.parametrize("algo", ["auto", "dp"])
+def test_solve_json_empty_input_against_a_long_one(capsys, algo):
+    code, out, _ = run(capsys, "solve", "--format", "json", "--algo", algo,
+                       "-x", "a" * 100_000, "-y", "")
+    assert code == 0
+    obj = json.loads(out)
+    assert (obj["x_len"], obj["y_len"], obj["algorithm"]) == (100_000, 0, "dp")
+    assert (obj["lcps_length"], obj["lcps"], obj["x_indices"], obj["y_indices"]) == (0, "", [], [])
+
+
 def test_solve_json_shape(capsys):
     code, out, _ = run(capsys, "solve", "-x", "aab", "-y", "aba", "--format", "json")
     assert code == 0

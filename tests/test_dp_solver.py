@@ -15,6 +15,7 @@ import lcps
 from lcps import (CapacityExceeded, brute_force_lcps, dp_lcps, dp_solver, fill_table,
                   geometric_lcps, validate_witness)
 from lcps.bench import GenSpec, generate
+from lcps.core import CpsResult
 from lcps.geometry import rect_count
 from lcps.match_index import build_match_set
 
@@ -50,6 +51,21 @@ def test_empty_inputs():
     assert r.length == 0 and r.z == b""
     assert dp_lcps(b"abc", b"").length == 0
     assert fill_table(b"", b"abc").root == fill_table(b"abc", b"").root == 0
+
+
+@pytest.mark.parametrize("x, y", [(b"a" * 100_000, b""), (b"", b"a" * 100_000)],
+                         ids=["y-empty", "x-empty"])
+def test_empty_input_answers_without_a_table(x, y):
+    # n * n * m * m is 0, so the cell cap admits any length; a table of
+    # (n + 1) * n bytes for the answer 0 would be 10 GB here.
+    tracemalloc.start()
+    try:
+        r = dp_lcps(x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert r == CpsResult(0, b"", (), ())
+    assert peak < 1 << 20
 
 
 def test_known_witness():
