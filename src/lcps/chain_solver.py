@@ -37,7 +37,7 @@ from typing import Any, Iterable, Optional
 
 import numpy as np
 
-from .core import EMPTY_RESULT, CpsResult, InvalidWitness, assemble_result, validate_witness
+from .core import CpsResult, InvalidWitness, assemble_result, validate_witness
 from .geometry import DEFAULT_RECT_CAP, Point4, rect_columns
 from .match_index import build_match_set
 
@@ -183,8 +183,9 @@ def chain_values(cols: np.ndarray) -> np.ndarray:
 
 
 def best_chain(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Columns of cols (rows a, b, c, d and w) on one maximum-weight chain,
-    outermost first, and each one's chain value. cols must hold a point.
+    """The points of one maximum-weight chain among the columns of cols
+    (rows a, b, c, d and w), as a (5, L) array, outermost first, and each
+    one's chain value; both are empty when cols is.
 
     Sorts a copy of the points by d non-increasing, then by a, b and c
     ascending (the order of sort_points), computes chain_values, then walks
@@ -193,9 +194,11 @@ def best_chain(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     weight, one scan per step.
     """
     a, b, c, d, _ = cols
-    order = np.lexsort((c, b, a, -d))
-    # take gathers the five rows in one pass, faster than cols[:, order]
-    a, b, c, d, w = swept = cols.take(order, axis=1)
+    # take gathers the five rows in one pass, faster than cols[:, order];
+    # the order is not bound, so it is freed once the copy is made
+    a, b, c, d, w = swept = cols.take(np.lexsort((c, b, a, -d)), axis=1)
+    if not w.size:
+        return swept, w
     value = chain_values(swept)
     p = int(np.argmax(value))
     path = [p]
@@ -204,22 +207,21 @@ def best_chain(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                & (value[:p] == value[p] - w[p]))
         p = int(np.argmax(hit))
         path.append(p)
-    return order[path], value[path]
+    return swept[:, path], value[path]
 
 
 def longest_chain(points: Iterable[Point4]) -> Optional[ChainNode]:
     """Node of maximum total weight over all chains, None for no points.
 
-    A Point4 view of best_chain: a chain step is strict in all four
-    coordinates, and ties keep the first node in sweep order.
+    A Point4 view of best_chain, each node's point built from the chain's
+    columns: a chain step is strict in all four coordinates, and ties keep
+    the first node in sweep order.
     """
-    points = list(points)
-    if not points:
-        return None
-    chain, values = best_chain(np.array([(p.a, p.b, p.c, p.d, p.weight) for p in points]).T)
+    rows = [(p.a, p.b, p.c, p.d, p.weight) for p in points]
+    chain, values = best_chain(np.array(rows, dtype=np.int64).reshape(-1, 5).T)
     node = None
-    for t, v in zip(reversed(chain.tolist()), reversed(values.tolist())):
-        node = ChainNode(points[t], v, node)
+    for *point, v in reversed(list(zip(*chain.tolist(), values.tolist()))):
+        node = ChainNode(Point4(*point), v, node)
     return node
 
 
@@ -236,13 +238,10 @@ def geometric_lcps(x: bytes, y: bytes, max_rects: int = DEFAULT_RECT_CAP) -> Cps
     if len(x) < len(y):
         r = geometric_lcps(y, x, max_rects)
         return CpsResult(r.length, r.z, r.y_indices, r.x_indices)
-    cols = rect_columns(build_match_set(x, y), max_rects)
-    if not cols.size:
-        return EMPTY_RESULT
-    chain, _ = best_chain(cols)
+    chain, _ = best_chain(rect_columns(build_match_set(x, y), max_rects))
     pairs = []
     center = None
-    for a, b, c, d, w in zip(*cols[:, chain].tolist()):
+    for a, b, c, d, w in zip(*chain.tolist()):
         if w == 2:
             pairs.append((x[a - 1], a, -c, b, -d))
         else:

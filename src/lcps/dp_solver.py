@@ -55,7 +55,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import EMPTY_RESULT, CapacityExceeded, CpsResult, assemble_result
+from .core import CapacityExceeded, CpsResult, assemble_result
 
 DEFAULT_CELL_CAP = 2**26
 
@@ -67,9 +67,9 @@ def _column(k, l, m: int):
 
 
 class DpTable:
-    """The y windows k <= l of each x window, packed in 1-byte cells (2-byte
-    once both inputs reach 256); cells with an empty substring on either side
-    read as 0."""
+    """The y windows k <= l of each x window, packed in read-only 1-byte cells
+    (2-byte once both inputs reach 256); cells with an empty substring on
+    either side read as 0."""
 
     def __init__(self, x: bytes, y: bytes, planes: np.ndarray):
         self.n = len(x)
@@ -77,6 +77,7 @@ class DpTable:
         self._x = x
         self._y = y
         self._planes = planes
+        planes.setflags(write=False)
 
     def cell(self, i: int, j: int, k: int, l: int) -> int:
         if i > j or k > l:
@@ -96,10 +97,11 @@ def fill_table(x: bytes, y: bytes, max_cells: int = DEFAULT_CELL_CAP) -> DpTable
 
     The table holds (n+1)*n*(m*(m+1)/2 + 1) cells, uint8 while the shorter
     input is under 256 characters (a cell is at most min(n, m)) and uint16
-    above. Raises CapacityExceeded when n*n*m*m exceeds max_cells, or when the
-    shorter input reaches 2**16 so a cell value could overflow uint16; at
-    that point the geometric solver (or the oracle, for tiny inputs) is the
-    way out.
+    above. With an input empty every window is empty on one side, so the
+    table holds no cell and nothing is allocated. Raises CapacityExceeded
+    when n*n*m*m exceeds max_cells, or when the shorter input reaches 2**16
+    so a cell value could overflow uint16; at that point the geometric
+    solver (or the oracle, for tiny inputs) is the way out.
     """
     n, m = len(x), len(y)
     if n * n * m * m > max_cells:
@@ -108,6 +110,8 @@ def fill_table(x: bytes, y: bytes, max_cells: int = DEFAULT_CELL_CAP) -> DpTable
         )
     if min(n, m) >= 2**16:
         raise CapacityExceeded(f"cell values up to {min(n, m)} do not fit in uint16")
+    if not (n and m):
+        return DpTable(x, y, np.zeros((0, 0, 0), dtype=np.uint8))
     windows = m * (m + 1) // 2  # column `windows` of every start is the zero cell
     width = windows + 1
     planes = np.zeros((n + 1, n, width), dtype=np.uint8 if min(n, m) < 256 else np.uint16)
@@ -124,8 +128,7 @@ def fill_table(x: bytes, y: bytes, max_cells: int = DEFAULT_CELL_CAP) -> DpTable
     # column w is the y window (k[w], l[w]): row k of the triangle holds m - k windows
     k = np.repeat(pos, pos[::-1] + 1)
     l = np.arange(windows) - k * (2 * m - k - 1) // 2
-    # The x_len = 1 plane (none when x is empty): x[i] occurs in y[k..l]
-    # exactly when nxt[x[i]][k] <= l.
+    # The x_len = 1 plane: x[i] occurs in y[k..l] exactly when nxt[x[i]][k] <= l.
     sym = np.searchsorted(symbols, xs)  # x[i] == symbols[sym[i]]
     planes[1:2, :, :windows] = (nxt.take(k, axis=1) <= l).take(sym, axis=0)
     # Only symbols that both inputs hold twice can end a peel. Per such symbol
@@ -164,19 +167,16 @@ def fill_table(x: bytes, y: bytes, max_cells: int = DEFAULT_CELL_CAP) -> DpTable
             peel = planes[lx - 2].take(peel_at.take(rows, axis=0))
             peel += gain.take(rows, axis=0)
             slab[rows] = np.maximum(slab.take(rows, axis=0), peel, out=peel)
-    planes.setflags(write=False)
     return DpTable(x, y, planes)
 
 
 def dp_lcps(x: bytes, y: bytes, max_cells: int = DEFAULT_CELL_CAP) -> CpsResult:
     """Fill the table and trace one maximal witness back through it. The
-    longer input goes on the x side, and the witness is swapped back. An
-    empty input answers EMPTY_RESULT without a table."""
+    longer input goes on the x side, and the witness is swapped back; an
+    empty input gets a table with no cells and the empty result."""
     if len(x) < len(y):
         r = dp_lcps(y, x, max_cells)
         return CpsResult(r.length, r.z, r.y_indices, r.x_indices)
-    if not y:
-        return EMPTY_RESULT
     return _traceback(fill_table(x, y, max_cells))
 
 

@@ -264,10 +264,21 @@ def test_chain_values_on_rectangle_points_match_pairwise_dp(monkeypatch, cutoff)
         only_degenerates += not receiver.any()
         want = pairwise_chain_values(swept)
         assert chain_solver.chain_values(swept).tolist() == want, (x, y)
-        _, values = chain_solver.best_chain(cols)
+        chain, values = chain_solver.best_chain(cols)
         assert values[0] == max(want)
         assert values[0] == chain_value_by_pairwise_dp([Point4(*col) for col in cols.T.tolist()])
+        # the chain's own points, each a column of cols, outermost first:
+        # each next point strictly dominates the one before it
+        points = set(zip(*cols.tolist()))
+        links = list(zip(*chain.tolist()))
+        assert all(p in points for p in links)
+        for (outer, v), (inner, u) in zip(zip(links, values), zip(links[1:], values[1:])):
+            assert all(i > o for o, i in zip(outer[:4], inner[:4]))
+            assert v == outer[4] + u
+        assert values[-1] == links[-1][4]
     assert leading and only_degenerates
+    chain, values = chain_solver.best_chain(np.zeros((5, 0), dtype=np.int32))
+    assert chain.shape == (5, 0) and values.shape == (0,)
 
 
 def test_chain_sweep_feeds_fewer_times_than_there_are_distinct_d(monkeypatch):
@@ -298,6 +309,7 @@ def test_chain_traceback_is_sound():
         while node is not None:
             walked.append(node)
             node = node.successor
+        assert all(w.point in pts for w in walked)
         for outer, inner in zip(walked, walked[1:]):
             assert is_chained(inner.point, outer.point)
             assert outer.value == outer.point.weight + inner.value

@@ -57,15 +57,23 @@ def test_empty_inputs():
                          ids=["y-empty", "x-empty"])
 def test_empty_input_answers_without_a_table(x, y):
     # n * n * m * m is 0, so the cell cap admits any length; a table of
-    # (n + 1) * n bytes for the answer 0 would be 10 GB here.
+    # (n + 1) * n bytes for the answer 0 would be 10 GB here, and with x
+    # empty the y windows' indices alone about 80 GB. fill_table, called
+    # directly in either order, stores no cell.
     tracemalloc.start()
     try:
         r = dp_lcps(x, y)
+        t = fill_table(x, y)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert r == CpsResult(0, b"", (), ())
     assert peak < 1 << 20
+    assert t.root == 0 and t.cell(2, 1, 1, 1) == t.cell(1, 1, 2, 1) == 0
+    with pytest.raises(IndexError):
+        t.cell(1, 1, 1, 1)
+    assert not t._planes.flags.writeable
+    assert dp_solver._traceback(t) == r
 
 
 def test_known_witness():
