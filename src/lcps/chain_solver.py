@@ -17,10 +17,10 @@ receivers it feeds. Each feed is a static strict 3-D dominance maximum,
 answered by median splits on the first coordinate (leaving a 2-D problem)
 and on the second (leaving a 1-D one, solved by a sort and running
 maxima), with small pairs of sets compared directly.
-Everything runs on numpy rows of one (5, P) point array, the layout
-rect_columns builds. best_chain runs the whole sequence (one lexsort into
-sweep order, chain values, then a walk from the best point to a dominating
-point of the right value) for both longest_chain and geometric_lcps.
+Everything runs on numpy rows of one (5, P) point array, in the layout and
+the sweep order rect_columns builds. best_chain reads that array in place
+(chain values, then a walk from the best point to a dominating point of the
+right value) for both longest_chain and geometric_lcps.
 geometric_lcps puts the longer input on the x side, as dp_lcps does: d
 then ranges over the shorter input's positions, so there is at most one
 group more than the shorter input has characters.
@@ -187,19 +187,15 @@ def best_chain(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     (rows a, b, c, d and w), as a (5, L) array, outermost first, and each
     one's chain value; both are empty when cols is.
 
-    Sorts a copy of the points by d non-increasing, then by a, b and c
-    ascending (the order of sort_points), computes chain_values, then walks
-    from the first point of maximum value to the first earlier point that
-    strictly dominates the current one and holds its value minus its
-    weight, one scan per step.
+    cols must be in sweep order, as rect_columns builds it and sort_points
+    orders points. Computes chain_values, then walks from the first point of
+    maximum value to the first earlier point that strictly dominates the
+    current one and holds its value minus its weight, one scan per step.
     """
-    a, b, c, d, _ = cols
-    # take gathers the five rows in one pass, faster than cols[:, order];
-    # the order is not bound, so it is freed once the copy is made
-    a, b, c, d, w = swept = cols.take(np.lexsort((c, b, a, -d)), axis=1)
+    a, b, c, d, w = cols
     if not w.size:
-        return swept, w
-    value = chain_values(swept)
+        return cols, w
+    value = chain_values(cols)
     p = int(np.argmax(value))
     path = [p]
     while value[p] > w[p]:
@@ -207,17 +203,17 @@ def best_chain(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                & (value[:p] == value[p] - w[p]))
         p = int(np.argmax(hit))
         path.append(p)
-    return swept[:, path], value[path]
+    return cols[:, path], value[path]
 
 
 def longest_chain(points: Iterable[Point4]) -> Optional[ChainNode]:
     """Node of maximum total weight over all chains, None for no points.
 
-    A Point4 view of best_chain, each node's point built from the chain's
-    columns: a chain step is strict in all four coordinates, and ties keep
-    the first node in sweep order.
+    A Point4 view of best_chain on the points in sort_points' order, each
+    node's point built from the chain's columns: a chain step is strict in
+    all four coordinates, and ties keep the first node in sweep order.
     """
-    rows = [(p.a, p.b, p.c, p.d, p.weight) for p in points]
+    rows = [(p.a, p.b, p.c, p.d, p.weight) for group in sort_points(points) for p in group]
     chain, values = best_chain(np.array(rows, dtype=np.int64).reshape(-1, 5).T)
     node = None
     for *point, v in reversed(list(zip(*chain.tolist(), values.tolist()))):

@@ -9,8 +9,9 @@ corner turns strict nesting into strict 4-way dominance of points, which is
 what the chain solver consumes.
 
 rect_columns builds every rectangle at once as one read-only (5, P) int32
-array, rows a, b, c, d and w (the point and its weight), from a match set's
-occurrence arrays, by vectorised cross products over all symbols together.
+array, rows a, b, c, d and w (the point and its weight), in the chain
+solver's sweep order, by vectorised cross products of a match set's
+occurrence arrays over all symbols together and one sort.
 enumerate_rectangles and rect_to_point are object views of the same
 rectangles. rect_count gives the exact rectangle count from the occurrence
 counts alone; it is the one count the size cap (checked before anything is
@@ -110,9 +111,10 @@ def rect_columns(ms: MatchSet, max_rects: int = DEFAULT_RECT_CAP) -> np.ndarray:
 
     Symbols with no occurrence on one side have no rectangles. Raises
     CapacityExceeded, before building anything, when the exact count
-    rect_count(ms) exceeds max_rects. The strict pairs come first, symbol
-    by symbol, then the degenerates. A side's pairs are built only for the
-    symbols both sides hold twice, so no array outgrows that count.
+    rect_count(ms) exceeds max_rects. The columns come in sweep order, d
+    non-increasing, then a, b and c ascending (as sort_points orders
+    points). A side's pairs are built only for the symbols both sides hold
+    twice, so no array outgrows that count.
     """
     count = rect_count(ms)
     if count > max_rects:
@@ -134,6 +136,8 @@ def rect_columns(ms: MatchSet, max_rects: int = DEFAULT_RECT_CAP) -> np.ndarray:
     cols[3] = np.concatenate((ys[yl[v]], ys[dj]))
     cols[4, :len(u)], cols[4, len(u):] = 2, 1
     np.negative(cols[2:4], out=cols[2:4])
+    a, b, c, d, _ = cols
+    cols = cols.take(np.lexsort((c, b, a, -d)), axis=1)
     cols.setflags(write=False)
     return cols
 
@@ -143,7 +147,7 @@ def enumerate_rectangles(ms: MatchSet, max_rects: int = DEFAULT_RECT_CAP) -> lis
 
     Pairs sharing an x or a y position are never emitted: a palindrome cannot
     reuse one input position for two output characters. An object view of
-    rect_columns(ms, max_rects), which raises CapacityExceeded.
+    rect_columns(ms, max_rects) in its order; it raises CapacityExceeded.
     """
     cols = rect_columns(ms, max_rects)
     symbol = np.zeros(len(ms.x_pos) + 1, np.int64)  # symbol[i]: the symbol x[i - 1]

@@ -205,15 +205,15 @@ def test_decompose_is_a_nested_chain_with_degenerate_last():
 
 
 def literal_columns(x, y):
-    """rect_columns' rows by double loops: every symbol's strict pairs, x
-    pair by y pair, symbol by symbol, then every symbol's degenerates."""
-    strict, degenerate = [], []
+    """rect_columns' columns by double loops: every symbol's strict pairs and
+    degenerates, sorted into sweep order by (-d, a, b, c)."""
+    rows = []
     for s in sorted(set(x) & set(y)):
         xs = [i for i, ch in enumerate(x, 1) if ch == s]
         ys = [j for j, ch in enumerate(y, 1) if ch == s]
-        strict += [(i, j, -k, -l, 2) for i, k in combinations(xs, 2) for j, l in combinations(ys, 2)]
-        degenerate += [(i, j, -i, -j, 1) for i in xs for j in ys]
-    return strict + degenerate
+        rows += [(i, j, -k, -l, 2) for i, k in combinations(xs, 2) for j, l in combinations(ys, 2)]
+        rows += [(i, j, -i, -j, 1) for i in xs for j in ys]
+    return sorted(rows, key=lambda p: (-p[3], p[0], p[1], p[2]))
 
 
 def test_rect_columns_where_one_side_holds_a_symbol_once():
