@@ -17,8 +17,10 @@ receivers it feeds. Each feed is a static strict 3-D dominance maximum,
 answered by median splits on the first coordinate (leaving a 2-D problem)
 and on the second (leaving a 1-D one, solved by a sort and running
 maxima), with small pairs of sets compared directly.
-Everything runs on numpy rows of one (5, P) point array, in the layout and
-the sweep order rect_columns builds. best_chain reads that array in place
+Everything runs on numpy rows of one (5, P) point array, in the layout,
+dtype and sweep order rect_columns builds. chain_values gathers the
+receivers' coordinates once, in sweep order, so every feed reads and
+raises contiguous slices of them. best_chain reads the point array in place
 (chain values, then a walk from the best point to a dominating point of the
 right value) for both longest_chain and geometric_lcps.
 geometric_lcps puts the longer input on the x side, as dp_lcps does: d
@@ -121,7 +123,7 @@ def dominance_max(left: tuple, values: np.ndarray, right: tuple) -> np.ndarray:
         hit = left[0][:, None] > right[0]
         for lk, rk in zip(left[1:], right[1:]):
             hit &= lk[:, None] > rk
-        return np.where(hit, values[:, None], 0).max(axis=0)
+        return (hit * values[:, None]).max(axis=0)
     if len(left) == 1:
         order = np.argsort(left[0], kind="stable")
         best = np.zeros(n_left + 1, values.dtype)
@@ -152,34 +154,40 @@ def chain_values(cols: np.ndarray) -> np.ndarray:
     value among the points strictly dominating it in all four coordinates.
 
     cols holds rows a, b, c, d and w, its points in sweep order (d
-    non-increasing). Only points below the largest a + c (the receivers)
-    can be dominated: groups are cut where a receiver's d first appears,
-    and each feed goes from every point of the left half to the receivers
-    of the right half. The divide and conquer splits at the middle group
-    boundary, so its depth is log2 of the number of distinct receiver d
-    values.
+    non-increasing), in any integer dtype that holds the values; they come
+    back in that dtype. Only points below the largest a + c (the
+    receivers) can be dominated: groups are cut where a receiver's d first
+    appears, and each feed goes from every point of the left half to the
+    receivers of the right half. The receivers' coordinates are gathered
+    once, in sweep order, so a group's receivers are one contiguous range
+    of them. The divide and conquer splits at the middle group boundary, so
+    its depth is log2 of the number of distinct receiver d values.
     """
     a, b, c, d, w = cols
-    inner = np.zeros_like(w)
     receiver = a + c < (a + c).max()
     runs = np.flatnonzero(np.diff(d, prepend=d[0] + 1))  # where each d starts
     starts = runs[np.logical_or.reduceat(receiver, runs)]
     bounds = sorted({0, *starts.tolist(), len(d)})
+    at = np.flatnonzero(receiver).astype(np.int32)  # the receivers, in sweep order
+    ra, rb, rc, rw = a[at], b[at], c[at], w[at]
+    first = np.searchsorted(at, bounds).tolist()  # each group's first receiver
+    inner = np.zeros_like(rw)
+    value = w.copy()
 
     def solve(g0: int, g1: int) -> None:
         if g1 - g0 < 2:
             return
         gm = (g0 + g1) // 2
         solve(g0, gm)
-        lo, mid, hi = bounds[g0], bounds[gm], bounds[g1]
-        m, right = receiver[mid:hi], inner[mid:hi]
-        fed = dominance_max((a[lo:mid], b[lo:mid], c[lo:mid]), w[lo:mid] + inner[lo:mid],
-                            (a[mid:hi][m], b[mid:hi][m], c[mid:hi][m]))
-        right[m] = np.maximum(right[m], fed)
+        lo, mid, r0, r1 = bounds[g0], bounds[gm], first[gm], first[g1]
+        fed = dominance_max((a[lo:mid], b[lo:mid], c[lo:mid]), value[lo:mid],
+                            (ra[r0:r1], rb[r0:r1], rc[r0:r1]))
+        np.maximum(inner[r0:r1], fed, out=inner[r0:r1])
+        value[at[r0:r1]] = rw[r0:r1] + inner[r0:r1]
         solve(gm, g1)
 
     solve(0, len(bounds) - 1)
-    return w + inner
+    return value
 
 
 def best_chain(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -173,8 +173,8 @@ def _load_inputs(args: argparse.Namespace) -> tuple[bytes, bytes]:
 # 16-symbol ones). 4096 picks the faster solver on 73 to 76 of 84 instances
 # per seed, 8192 on 72 to 78 (in no pass more than 4096 on both seeds), 2048
 # on 62 to 68, 1024 on 54 to 61. Memory runs the other way: at about half a
-# byte per counted cell, the dp table outweighs geom's roughly 77 to 138
-# bytes per rectangle above about 155 to 275 cells per rectangle, so dp
+# byte per counted cell, the dp table outweighs geom's roughly 50 to 95
+# bytes per rectangle above about 100 to 190 cells per rectangle, so dp
 # first can take more memory than geom would. The dp cell cap, not this
 # order, bounds dp's memory.
 DP_CELLS_PER_RECT = 4096

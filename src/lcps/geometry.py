@@ -8,10 +8,11 @@ equals total weight along a chain of nested rectangles. Negating the upper
 corner turns strict nesting into strict 4-way dominance of points, which is
 what the chain solver consumes.
 
-rect_columns builds every rectangle at once as one read-only (5, P) int32
-array, rows a, b, c, d and w (the point and its weight), in the chain
-solver's sweep order, by vectorised cross products of a match set's
-occurrence arrays over all symbols together and one sort.
+rect_columns builds every rectangle at once as one read-only (5, P) array,
+rows a, b, c, d and w (the point and its weight), in the chain solver's
+sweep order, by vectorised cross products of a match set's occurrence
+arrays over all symbols together and one sort. It is int16 while every
+position fits (inputs under 2**15 characters), int32 beyond.
 enumerate_rectangles and rect_to_point are object views of the same
 rectangles. rect_count gives the exact rectangle count from the occurrence
 counts alone; it is the one count the size cap (checked before anything is
@@ -105,9 +106,13 @@ def _pairs(n: np.ndarray, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def rect_columns(ms: MatchSet, max_rects: int = DEFAULT_RECT_CAP) -> np.ndarray:
-    """Every rectangle, as a read-only (5, P) int32 array, from a match set's
+    """Every rectangle, as a read-only (5, P) array, from a match set's
     occurrence arrays: column t is rectangle t's point (a, b, c, d) =
     (i, j, -k, -l) of corners (i, j) and (k, l), and its weight w.
+
+    The array is int16 when both inputs are under 2**15 characters, else
+    int32: positions, their negations, a + c and chain values (at most the
+    shorter input's length) all fit.
 
     Symbols with no occurrence on one side have no rectangles. Raises
     CapacityExceeded, before building anything, when the exact count
@@ -129,7 +134,7 @@ def rect_columns(ms: MatchSet, max_rects: int = DEFAULT_RECT_CAP) -> np.ndarray:
     yj, yl = _pairs(cy, strict)
     u, v = _cross(cx * (cx - 1) // 2 * strict, cy * (cy - 1) // 2 * strict)
     di, dj = _cross(cx, cy)
-    cols = np.empty((5, count), np.int32)
+    cols = np.empty((5, count), np.int16 if max(len(ms.x_pos), len(ms.y_pos)) < 2**15 else np.int32)
     cols[0] = np.concatenate((xs[xi[u]], xs[di]))
     cols[1] = np.concatenate((ys[yj[v]], ys[dj]))
     cols[2] = np.concatenate((xs[xk[u]], xs[di]))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import random_pair
-from lcps import CapacityExceeded, CpsResult, InvalidWitness, brute_force_lcps
+from lcps import CapacityExceeded, CpsResult, InvalidWitness, brute_force_lcps, geometric_lcps
 from lcps.chain_solver import best_chain
 from lcps.geometry import (
     DEFAULT_RECT_CAP,
@@ -216,6 +216,11 @@ def literal_columns(x, y):
     return sorted(rows, key=lambda p: (-p[3], p[0], p[1], p[2]))
 
 
+def points_dtype(x, y):
+    """rect_columns' dtype: int16 while every position fits, else int32."""
+    return np.int16 if max(len(x), len(y)) < 2**15 else np.int32
+
+
 def test_rect_columns_where_one_side_holds_a_symbol_once():
     rng = random.Random(1313)
     pairs = [(b"aaa", b"a"), (b"a", b"aaa"), (b"aaab", b"abb"), (b"abab", b"bbba"),
@@ -226,7 +231,7 @@ def test_rect_columns_where_one_side_holds_a_symbol_once():
         pairs += [(x, once), (once, x)]
     for x, y in pairs:
         cols = rect_columns(build_match_set(x, y))
-        assert all(col.dtype == np.int32 for col in cols)
+        assert cols.dtype == points_dtype(x, y)
         assert list(zip(*(col.tolist() for col in cols))) == literal_columns(x, y)
 
 
@@ -235,10 +240,26 @@ def test_rect_columns_are_read_only():
     cols = rect_columns(ms)
     assert type(cols) is np.ndarray
     assert cols.shape == (5, rect_count(ms))
-    assert cols.dtype == np.int32 and not cols.flags.writeable
+    assert cols.dtype == points_dtype(b"aab", b"aba") and not cols.flags.writeable
     for col in cols:
         with pytest.raises(ValueError):
             col[:1] = 99
     before = cols.copy()
     best_chain(cols)
     assert np.array_equal(cols, before)
+
+
+@pytest.mark.parametrize("n, dtype", [(32_767, np.int16), (32_768, np.int32)])
+def test_rect_columns_dtype_at_the_int16_boundary(n, dtype):
+    # positions up to n, their negations, a + c and chain values all fit in
+    # int16 while n < 2**15; one more character needs int32
+    x = b"ab" + b"c" * (n - 4) + b"ba"
+    assert len(x) == n
+    for p, q in ((x, b"abba"), (b"abba", x)):
+        assert rect_columns(build_match_set(p, q)).dtype == dtype
+    r = geometric_lcps(x, b"abba")
+    assert (r.length, r.z) == (4, b"abba")
+    assert r.x_indices == (1, 2, n - 1, n) and r.y_indices == (1, 2, 3, 4)
+    r = geometric_lcps(b"abba", x)
+    assert (r.length, r.z) == (4, b"abba")
+    assert r.x_indices == (1, 2, 3, 4) and r.y_indices == (1, 2, n - 1, n)
