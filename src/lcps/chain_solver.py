@@ -109,12 +109,13 @@ def dominance_max(left: tuple, values: np.ndarray, right: tuple) -> np.ndarray:
     """For each right point, the largest value of a left point strictly
     greater in every coordinate, or 0 when there is none.
 
-    left and right are equal-length tuples of coordinate columns; values
-    holds one non-negative value per left point. Sets too large to compare
-    pair by pair are split at the median of the first coordinate: the high
-    left points answer every low right point on the first coordinate
-    alone, which leaves a problem with one coordinate fewer. One coordinate
-    is a sort, a running maximum and a binary search.
+    left and right are equal-length tuples of integer coordinate columns;
+    values holds one non-negative value per left point. Sets too large to
+    compare pair by pair are split at the median of the first coordinate,
+    or at the lowest + 1 when that is the median: the high left points
+    answer every low right point on the first coordinate alone, which
+    leaves a problem with one coordinate fewer. One coordinate is a sort,
+    a running maximum and a binary search.
     """
     n_left, n_right = len(values), len(right[0])
     if n_left == 0 or n_right == 0:
@@ -133,19 +134,19 @@ def dominance_max(left: tuple, values: np.ndarray, right: tuple) -> np.ndarray:
     t = np.partition(both, len(both) // 2)[len(both) // 2]
     lowest = both.min()
     if t == lowest:
-        above = both[both > lowest]
-        if not above.size:  # one value: nothing is strictly greater
+        if lowest == both.max():  # one value: nothing is strictly greater
             return np.zeros(n_right, values.dtype)
-        t = above.min()
+        t = lowest + 1
     left_high, right_high = left[0] >= t, right[0] >= t
     left_low, right_low = ~left_high, ~right_high
+    high_values = values[left_high]
     low = tuple(k[right_low] for k in right)
     out = np.empty(n_right, values.dtype)
-    out[right_high] = dominance_max(tuple(k[left_high] for k in left), values[left_high],
+    out[right_high] = dominance_max(tuple(k[left_high] for k in left), high_values,
                                     tuple(k[right_high] for k in right))
-    out[right_low] = np.maximum(
+    out[right_low] = np.maximum(  # high columns gathered again: not held through the low call
         dominance_max(tuple(k[left_low] for k in left), values[left_low], low),
-        dominance_max(tuple(k[left_high] for k in left[1:]), values[left_high], low[1:]))
+        dominance_max(tuple(k[left_high] for k in left[1:]), high_values, low[1:]))
     return out
 
 

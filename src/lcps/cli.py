@@ -136,7 +136,7 @@ def parse_fasta(data: bytes) -> bytes:
         else:
             lines.append(line)
     joined = b"".join(lines)
-    return bytes(ch for ch in joined if ch not in b" \t\r\n\v\f").upper()
+    return joined.translate(None, b" \t\r\n\v\f").upper()
 
 
 def read_input(source: str, *, is_file: bool, fasta: bool) -> bytes:
@@ -166,17 +166,9 @@ def _load_inputs(args: argparse.Namespace) -> tuple[bytes, bytes]:
     return x, y
 
 
-# dp fills n*n*m*m table cells; geom pays per rectangle. Timed on n = m in
-# 12..32 with 2 to 16 symbols, two seeds, three times (2-vCPU x86, Python
-# 3.11, min of 3 runs per instance), one rectangle cost as much as 1889 to
-# 2268 cells: the median break-even per instance (5649 to 6161 on the
-# 16-symbol ones). 4096 picks the faster solver on 73 to 76 of 84 instances
-# per seed, 8192 on 72 to 78 (in no pass more than 4096 on both seeds), 2048
-# on 62 to 68, 1024 on 54 to 61. Memory runs the other way: at about half a
-# byte per counted cell, the dp table outweighs geom's roughly 50 to 95
-# bytes per rectangle above about 100 to 190 cells per rectangle, so dp
-# first can take more memory than geom would. The dp cell cap, not this
-# order, bounds dp's memory.
+# The time of one geom rectangle in dp table cells: auto tries dp first when
+# n*n*m*m <= DP_CELLS_PER_RECT * P. README's "Algorithm selection" gives the
+# fit and why the dp cell cap, not this order, bounds dp's memory.
 DP_CELLS_PER_RECT = 4096
 
 

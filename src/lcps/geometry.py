@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Iterable
 
 import numpy as np
 
@@ -66,18 +65,11 @@ class Point4:
     weight: int
 
 
-def rect_total(counts: Iterable[tuple[int, int]]) -> int:
-    """Exact number of rectangles from per-symbol occurrence counts (x_s, y_s).
-
-    A symbol gives C(x_s, 2) * C(y_s, 2) pairs plus x_s * y_s degenerates.
-    """
-    return sum(comb(xs, 2) * comb(ys, 2) + xs * ys for xs, ys in counts)
-
-
 def rect_count(ms: MatchSet) -> int:
-    """Exact number of rectangles rect_columns builds, in O(sigma)."""
+    """The exact rectangle count P above, in O(sigma) steps on Python ints."""
     both = (ms.x_count > 0) & (ms.y_count > 0)
-    return rect_total(zip(ms.x_count[both].tolist(), ms.y_count[both].tolist()))
+    return sum(comb(xs, 2) * comb(ys, 2) + xs * ys
+               for xs, ys in zip(ms.x_count[both].tolist(), ms.y_count[both].tolist()))
 
 
 def _ranges(counts: np.ndarray) -> np.ndarray:

@@ -150,27 +150,28 @@ def test_criterion_4_chain_optimality():
                    bad == 0, f"bad={bad}")
 
 
-def _median_ms(fn, x, y, reps=5):
-    fn(x, y)  # warmup
-    times = []
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        fn(x, y)
-        times.append((time.perf_counter() - t0) * 1000.0)
-    return statistics.median(times)
+def _median_ratio(fn, small, large, rounds=9):
+    # One warm-up call per size, then one timed call of each per round, so a
+    # slow spell of the machine falls on both sizes rather than on one.
+    fn(*small)
+    fn(*large)
+    times = ([], [])
+    for _ in range(rounds):
+        for t, pair in zip(times, (small, large)):
+            t0 = time.perf_counter()
+            fn(*pair)
+            t.append(time.perf_counter() - t0)
+    return statistics.median(times[1]) / statistics.median(times[0])
 
 
 def test_criterion_5_scaling_smoke():
-    x40, y40 = generate(GenSpec(40, 40, 2, 2026))
-    x80, y80 = generate(GenSpec(80, 80, 2, 2026))
-    dp_ratio = _median_ms(dp_lcps, x80, y80) / _median_ms(dp_lcps, x40, y40)
+    dp_ratio = _median_ratio(dp_lcps, generate(GenSpec(40, 40, 2, 2026)),
+                             generate(GenSpec(80, 80, 2, 2026)))
 
     # sparse-match regime: alphabet as large as the input allows (octets cap
     # the alphabet at 256, which keeps matches near-linear in n regardless)
-    x200, y200 = generate(GenSpec(200, 200, 200, 2026))
-    x400, y400 = generate(GenSpec(400, 400, 256, 2026))
-    geom_ratio = (_median_ms(geometric_lcps, x400, y400)
-                  / _median_ms(geometric_lcps, x200, y200))
+    geom_ratio = _median_ratio(geometric_lcps, generate(GenSpec(200, 200, 200, 2026)),
+                               generate(GenSpec(400, 400, 256, 2026)))
 
     ok = 8.0 <= dp_ratio <= 40.0 and geom_ratio <= 8.0
     assert _report(5, "scaling smoke test",

@@ -209,16 +209,28 @@ def test_longest_chain_matches_pairwise_dp_under_ties(monkeypatch, cutoff):
         assert (node.value if node else 0) == chain_value_by_pairwise_dp(pts)
 
 
+# (first coordinates, other coordinates, dtype) to draw points from: small
+# ranges; int16 columns at their extremes; one first coordinate shared by
+# every point; and first coordinates mostly at their lowest, so medians tie
+# with it and the split moves to lowest + 1, also at the int16 top.
+DOMINANCE_DRAWS = [
+    (range(6), range(6), np.int32),
+    ((-32767, -32766, 0, 32766, 32767), (-32767, -1, 0, 32767), np.int16),
+    ((4,), range(6), np.int32),
+    ((0, 0, 0, 1, 5), range(6), np.int32),
+    ((32766, 32766, 32766, 32767), (-32767, 0, 32767), np.int16),
+]
+
+
 @pytest.mark.parametrize("cutoff", [0, 1])
 def test_dominance_max_matches_naive_scan(monkeypatch, cutoff):
     monkeypatch.setattr(chain_solver, "BROADCAST_CELLS", cutoff)
     rng = random.Random(99)
-    for _ in range(100):
+    for first, rest, dtype in [draw for draw in DOMINANCE_DRAWS for _ in range(100)]:
         dims = rng.randint(1, 3)
-        left = np.array([[rng.randint(0, 5) for _ in range(dims)]
-                         for _ in range(rng.randint(0, 30))], dtype=np.int32).reshape(-1, dims)
-        right = np.array([[rng.randint(0, 5) for _ in range(dims)]
-                          for _ in range(rng.randint(0, 30))], dtype=np.int32).reshape(-1, dims)
+        left, right = (np.array([[rng.choice(first)] + rng.choices(rest, k=dims - 1)
+                                 for _ in range(rng.randint(0, 30))], dtype).reshape(-1, dims)
+                       for _ in range(2))
         values = np.array([rng.randint(1, 9) for _ in left], dtype=np.int32)
         got = dominance_max(tuple(left.T), values, tuple(right.T))
         want = [max((v for p, v in zip(left, values) if (p > q).all()), default=0)

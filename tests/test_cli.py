@@ -139,6 +139,7 @@ def test_fasta_first_record_only():
     assert cli.parse_fasta(b">h\nac\ngt\n") == b"ACGT"
     assert cli.parse_fasta(b">one\naaa\n>two\nccc\n") == b"AAA"
     assert cli.parse_fasta(b">h\r\na c\tg\r\nt\r\n") == b"ACGT"
+    assert cli.parse_fasta(b">h\na\vc\fg\xe9t\n") == b"ACG\xe9T"
 
 
 def test_compare_agreement(capsys):

@@ -20,9 +20,8 @@ from lcps.geometry import (
     rect_columns,
     rect_count,
     rect_to_point,
-    rect_total,
 )
-from lcps.match_index import build_match_set
+from lcps.match_index import MatchSet, build_match_set
 
 A = ord("a")
 
@@ -118,13 +117,17 @@ def test_enumerate_cap():
 def test_default_cap_accepts_sum_r_squared_up_to_5m(counts):
     # Per-symbol occurrence counts (x_s, y_s), cut to the longest prefix with
     # sum((x_s * y_s)**2) <= 5 000 000: every such input has P < the cap.
+    # rect_count reads only the count arrays, so the positions stay empty.
     kept, total = [], 0
     for xs, ys in counts:
         total += (xs * ys) ** 2
         if total > 5_000_000:
             break
         kept.append((xs, ys))
-    assert rect_total(kept) < DEFAULT_RECT_CAP == 1_250_000
+    x_count, y_count = np.zeros((2, 256), np.int64)
+    x_count[:len(kept)], y_count[:len(kept)] = np.array(kept, np.int64).reshape(-1, 2).T
+    empty = np.zeros(0, np.int32)
+    assert rect_count(MatchSet(empty, x_count, empty, y_count)) < DEFAULT_RECT_CAP == 1_250_000
 
 
 def test_rect_to_point_mapping():
