@@ -156,15 +156,18 @@ def chain_values(cols: np.ndarray) -> np.ndarray:
 
     cols holds rows a, b, c, d and w, its points in sweep order (d
     non-increasing), in any integer dtype that holds the values; they come
-    back in that dtype. Only points below the largest a + c (the
-    receivers) can be dominated: groups are cut where a receiver's d first
-    appears, and each feed goes from every point of the left half to the
-    receivers of the right half. The receivers' coordinates are gathered
-    once, in sweep order, so a group's receivers are one contiguous range
-    of them. The divide and conquer splits at the middle group boundary, so
-    its depth is log2 of the number of distinct receiver d values.
+    back in that dtype; no points give an empty array. Only points below
+    the largest a + c (the receivers) can be dominated: groups are cut
+    where a receiver's d first appears, and each feed goes from every point
+    of the left half to the receivers of the right half. The receivers'
+    coordinates are gathered once, in sweep order, so a group's receivers
+    are one contiguous range of them. The divide and conquer splits at the
+    middle group boundary, so its depth is log2 of the number of distinct
+    receiver d values.
     """
     a, b, c, d, w = cols
+    if not w.size:
+        return w.copy()
     receiver = a + c < (a + c).max()
     runs = np.flatnonzero(np.diff(d, prepend=d[0] + 1))  # where each d starts
     starts = runs[np.logical_or.reduceat(receiver, runs)]

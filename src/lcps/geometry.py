@@ -10,9 +10,9 @@ what the chain solver consumes.
 
 rect_columns builds every rectangle at once as one read-only (5, P) array,
 rows a, b, c, d and w (the point and its weight), in the chain solver's
-sweep order, by vectorised cross products of a match set's occurrence
-arrays over all symbols together and one sort. It is int16 while every
-position fits (inputs under 2**15 characters), int32 beyond.
+sweep order: a stable sort groups each input's positions by symbol, then
+cross products over all symbols and one column sort build it. It is int16
+while every position fits (inputs under 2**15 characters), int32 beyond.
 enumerate_rectangles and rect_to_point are object views of the same
 rectangles. rect_count gives the exact rectangle count from the occurrence
 counts alone; it is the one count the size cap (checked before anything is
@@ -99,7 +99,7 @@ def _pairs(n: np.ndarray, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def rect_columns(ms: MatchSet, max_rects: int = DEFAULT_RECT_CAP) -> np.ndarray:
     """Every rectangle, as a read-only (5, P) array, from a match set's
-    occurrence arrays: column t is rectangle t's point (a, b, c, d) =
+    codes and counts: column t is rectangle t's point (a, b, c, d) =
     (i, j, -k, -l) of corners (i, j) and (k, l), and its weight w.
 
     The array is int16 when both inputs are under 2**15 characters, else
@@ -107,7 +107,7 @@ def rect_columns(ms: MatchSet, max_rects: int = DEFAULT_RECT_CAP) -> np.ndarray:
     shorter input's length) all fit.
 
     Symbols with no occurrence on one side have no rectangles. Raises
-    CapacityExceeded, before building anything, when the exact count
+    CapacityExceeded, before sorting anything, when the exact count
     rect_count(ms) exceeds max_rects. The columns come in sweep order, d
     non-increasing, then a, b and c ascending (as sort_points orders
     points). A side's pairs are built only for the symbols both sides hold
@@ -118,15 +118,15 @@ def rect_columns(ms: MatchSet, max_rects: int = DEFAULT_RECT_CAP) -> np.ndarray:
         raise CapacityExceeded(f"{count} rectangles exceed the cap of {max_rects}")
     both = (ms.x_count > 0) & (ms.y_count > 0)
     cx, cy = ms.x_count[both], ms.y_count[both]
-    # The positions of the symbols present on both sides, grouped by symbol.
-    xs = ms.x_pos[np.repeat(both, ms.x_count)]
-    ys = ms.y_pos[np.repeat(both, ms.y_count)]
+    # The 1-based int32 positions of the symbols on both sides, grouped by symbol.
+    xs, ys = ((np.argsort(codes, kind="stable").astype(np.int32) + 1)[np.repeat(both, n)]
+              for codes, n in ((ms.x, ms.x_count), (ms.y, ms.y_count)))
     strict = (cx > 1) & (cy > 1)
     xi, xk = _pairs(cx, strict)
     yj, yl = _pairs(cy, strict)
     u, v = _cross(cx * (cx - 1) // 2 * strict, cy * (cy - 1) // 2 * strict)
     di, dj = _cross(cx, cy)
-    cols = np.empty((5, count), np.int16 if max(len(ms.x_pos), len(ms.y_pos)) < 2**15 else np.int32)
+    cols = np.empty((5, count), np.int16 if max(len(ms.x), len(ms.y)) < 2**15 else np.int32)
     cols[0] = np.concatenate((xs[xi[u]], xs[di]))
     cols[1] = np.concatenate((ys[yj[v]], ys[dj]))
     cols[2] = np.concatenate((xs[xk[u]], xs[di]))
@@ -147,10 +147,8 @@ def enumerate_rectangles(ms: MatchSet, max_rects: int = DEFAULT_RECT_CAP) -> lis
     rect_columns(ms, max_rects) in its order; it raises CapacityExceeded.
     """
     cols = rect_columns(ms, max_rects)
-    symbol = np.zeros(len(ms.x_pos) + 1, np.int64)  # symbol[i]: the symbol x[i - 1]
-    symbol[ms.x_pos] = np.repeat(np.arange(256), ms.x_count)
     return [Rect(s, Match(a, b), Match(-c, -d), w)
-            for s, a, b, c, d, w in zip(symbol[cols[0]].tolist(), *cols.tolist())]
+            for s, a, b, c, d, w in zip(ms.x[cols[0] - 1].tolist(), *cols.tolist())]
 
 
 def rect_to_point(r: Rect) -> Point4:

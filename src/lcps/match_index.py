@@ -2,10 +2,10 @@
 
 A match is a position pair (i, j) with x[i] == y[j] (1-based). Matches are
 never listed, since their count can be quadratic in the input lengths: each
-input's positions are kept grouped by symbol, with one occurrence count per
-each of the 256 symbols. A symbol's matches are the cross product of its
-x_s positions in x and its y_s positions in y; per_sigma gives only their
-count x_s * y_s. One numpy pass per input builds the arrays.
+input is kept as its uint8 codes, with one occurrence count per each of the
+256 symbols. A symbol's matches are the cross product of its x_s positions
+in x and its y_s positions in y; per_sigma gives only their count x_s * y_s.
+Only geometry.rect_columns groups positions by symbol.
 """
 
 from __future__ import annotations
@@ -28,16 +28,16 @@ class SigmaMatchSet(NamedTuple):
 
 
 class MatchSet(NamedTuple):
-    """Read-only occurrence arrays of both inputs.
+    """Read-only codes and symbol counts of both inputs.
 
-    x_pos holds x's 1-based positions (int32) grouped by symbol in ascending
-    symbol order, ascending within each symbol, and x_count (length 256) how
-    many each symbol has; y_pos and y_count are the same for y.
+    x holds x's bytes as uint8 codes (the symbol at 1-based position i is
+    x[i - 1]) and x_count (length 256) how many times each symbol occurs;
+    y and y_count are the same for y.
     """
 
-    x_pos: np.ndarray
+    x: np.ndarray
     x_count: np.ndarray
-    y_pos: np.ndarray
+    y: np.ndarray
     y_count: np.ndarray
 
     @property
@@ -54,18 +54,17 @@ class MatchSet(NamedTuple):
 
 
 def build_match_set(x: bytes, y: bytes) -> MatchSet:
-    """Group both inputs' positions by symbol, from one numpy pass over each.
+    """View both inputs as codes, without a copy, and count their symbols.
 
-    Stores only O(n + m) positions; matches are never materialized, so no
-    input is too large here. The geometric solver's rectangle cap, checked
-    against the exact count before anything is built, bounds what comes
-    after.
+    Sorts nothing and stores 256 counts per input beyond views of the
+    inputs; matches are never materialized, so no input is too large here.
+    The geometric solver's rectangle cap, checked against the exact count
+    before any position is sorted, bounds what comes after.
     """
     arrays = []
     for s in (x, y):
         codes = np.frombuffer(s, dtype=np.uint8)
-        arrays += (np.argsort(codes, kind="stable").astype(np.int32) + 1,
-                   np.bincount(codes, minlength=256))
+        arrays += (codes, np.bincount(codes, minlength=256))
     for a in arrays:
         a.setflags(write=False)
     return MatchSet(*arrays)

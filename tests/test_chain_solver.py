@@ -295,6 +295,9 @@ def test_chain_values_on_rectangle_points_match_pairwise_dp(monkeypatch, cutoff)
     assert leading and only_degenerates
     chain, values = chain_solver.best_chain(np.zeros((5, 0), dtype=np.int32))
     assert chain.shape == (5, 0) and values.shape == (0,)
+    cols = rect_columns(build_match_set(b"", b"a"))
+    values = chain_solver.chain_values(cols)
+    assert cols.shape == (5, 0) and values.shape == (0,) and values.dtype == cols.dtype
 
 
 def test_chain_sweep_feeds_fewer_times_than_there_are_distinct_d(monkeypatch):
@@ -405,6 +408,22 @@ def test_geom_keeps_one_copy_of_its_points():
     finally:
         tracemalloc.stop()
     assert peak <= 64 * count
+
+
+def test_geometric_declines_before_sorting_positions():
+    # random ACGT against ACGT: P = 2 000 000 degenerates, over the cap. The
+    # cap is checked on the symbol counts, before any position is sorted, so
+    # the peak is bincount's int64 copy of x (12 B per character when both
+    # inputs' positions were sorted first)
+    x = random.Random(1).randbytes(2_000_000).translate(b"ACGT" * 64)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityExceeded):
+            geometric_lcps(x, b"ACGT")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * len(x)
 
 
 @pytest.mark.parametrize("x, y", [(b"a" * 3000, b"a"), (b"a", b"a" * 3000)],

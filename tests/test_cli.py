@@ -1,4 +1,6 @@
 import json
+import random
+import tracemalloc
 
 import pytest
 
@@ -104,6 +106,22 @@ def test_capacity_exhausted_everywhere_is_exit_4(capsys):
                        "--max-dp-cells", "1", "--max-rects", "1")
     assert code == 4
     assert err
+
+
+def test_over_cap_file_declines_at_a_small_peak(capsys, tmp_path):
+    # 2 000 000 random ACGT characters against ACGT: geom and dp both decline
+    # on counts, so beyond the file's bytes only bincount's int64 copy of
+    # them is built (17 B per character when positions were sorted first)
+    path = tmp_path / "x.txt"
+    path.write_bytes(random.Random(1).randbytes(2_000_000).translate(b"ACGT" * 64))
+    tracemalloc.start()
+    try:
+        code, _, err = run(capsys, "solve", "--x-file", str(path), "-y", "ACGT")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 4 and err
+    assert peak <= 12 * 2_000_000
 
 
 def test_rect_cap_counts_the_rectangles_built(capsys):

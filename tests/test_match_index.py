@@ -4,23 +4,32 @@ import numpy as np
 import pytest
 
 from conftest import random_pair
-from lcps.geometry import enumerate_rectangles, rect_count
+from lcps.geometry import enumerate_rectangles, rect_columns, rect_count
 from lcps.match_index import Match, build_match_set
-
-
-def grouped(pos, count):
-    """A side's positions cut into one tuple per symbol by its counts."""
-    ends = np.cumsum(count).tolist()
-    return [tuple(pos[end - c:end].tolist()) for end, c in zip(ends, count.tolist())]
 
 
 def occurrences(x, y):
     """Each symbol on both sides: its positions in x and in y, read from the
-    match set's arrays; per_sigma must name the same symbols, with
+    degenerate rectangles (w = 1) of rect_columns, which must be exactly the
+    matches. The match set must hold the inputs' own codes and symbol
+    counts, and per_sigma must name the same symbols, with
     r_sigma = x_s * y_s."""
     ms = build_match_set(x, y)
-    pairs = zip(grouped(ms.x_pos, ms.x_count), grouped(ms.y_pos, ms.y_count))
-    occ = {s: (xo, yo) for s, (xo, yo) in enumerate(pairs) if xo and yo}
+    for seq, codes, count in ((x, ms.x, ms.x_count), (y, ms.y, ms.y_count)):
+        assert codes.dtype == np.uint8 and codes.tobytes() == seq
+        assert count.tolist() == [seq.count(s) for s in range(256)]
+    a, b, c, d, w = rect_columns(ms).tolist()
+    matches = sorted((i, j) for i, j, k, l, wt in zip(a, b, c, d, w)
+                     if wt == 1 and (k, l) == (-i, -j))
+    assert w.count(1) == len(matches)
+    assert matches == [(i, j) for i, cx in enumerate(x, 1)
+                       for j, cy in enumerate(y, 1) if cx == cy]
+    occ = {}
+    for i, j in matches:
+        xo, yo = occ.setdefault(x[i - 1], (set(), set()))
+        xo.add(i)
+        yo.add(j)
+    occ = {s: (tuple(sorted(xo)), tuple(sorted(yo))) for s, (xo, yo) in sorted(occ.items())}
     assert [(s.sigma, s.r_sigma) for s in ms.per_sigma] == [
         (s, len(xo) * len(yo)) for s, (xo, yo) in occ.items()]
     return occ
@@ -119,11 +128,10 @@ def test_match_set_over_every_octet():
     for x, y in pairs:
         ms = build_match_set(x, y)
         assert [(s, *occ) for s, occ in occurrences(x, y).items()] == literal_grouping(x, y)
-        for seq, pos, count in ((x, ms.x_pos, ms.x_count), (y, ms.y_pos, ms.y_count)):
-            assert grouped(pos, count) == [tuple(i for i, ch in enumerate(seq, 1) if ch == s)
-                                           for s in range(256)]
         assert ms.r == sum(cx == cy for cx in x for cy in y)
-        assert rect_count(ms) == len(enumerate_rectangles(ms))
+        rects = enumerate_rectangles(ms)
+        assert rect_count(ms) == len(rects)
+        assert all(r.sigma == x[r.lower.i - 1] == y[r.lower.j - 1] for r in rects)
 
 
 def test_match_set_is_read_only():
