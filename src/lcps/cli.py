@@ -167,15 +167,15 @@ def _load_inputs(args: argparse.Namespace) -> tuple[bytes, bytes]:
 
 
 # The time of one geom rectangle in dp table cells: auto tries dp first when
-# n*n*m*m <= DP_CELLS_PER_RECT * P. README's "Algorithm selection" gives the
-# fit and why the dp cell cap, not this order, bounds dp's memory.
+# n*n*m*m <= DP_CELLS_PER_RECT * P. README's "Algorithm selection" points to
+# the last fit and says why the dp cell cap, not this order, bounds dp's memory.
 DP_CELLS_PER_RECT = 4096
 
 
-def auto_order(n: int, m: int, ms: MatchSet) -> tuple[str, str]:
+def auto_order(ms: MatchSet) -> tuple[str, str]:
     """Solvers for auto to try in turn: the one predicted cheaper first, the
     other as the fallback when the first exceeds its size cap."""
-    if n * n * m * m <= DP_CELLS_PER_RECT * rect_count(ms):
+    if (len(ms.x) * len(ms.y)) ** 2 <= DP_CELLS_PER_RECT * rect_count(ms):
         return ("dp", "geom")
     return ("geom", "dp")
 
@@ -183,7 +183,7 @@ def auto_order(n: int, m: int, ms: MatchSet) -> tuple[str, str]:
 def solve_command(args: argparse.Namespace) -> int:
     x, y = _load_inputs(args)
     ms = build_match_set(x, y)
-    order = auto_order(len(x), len(y), ms) if args.algo == "auto" else (args.algo,)
+    order = auto_order(ms) if args.algo == "auto" else (args.algo,)
     for algo in order:
         run = run_solver(algo, args, x, y)
         if run.declined is None:

@@ -33,12 +33,12 @@ i and all y windows of that length are one contiguous slab:
      0). Only a symbol that y holds twice can raise a row.
 
 The inner-window column and gain of step 3 depend on a start's symbol and
-the y window, not on the table, so they are gathered once per call into
-one row per x start, with the row offset of start i + 1 already added; a
-start whose symbol is not paired reads the zero column and gains 0. Each
-x length then finds its equal-ended starts with one comparison of x's
-symbol keys with their shift by x_len - 1, where every unpaired start
-holds a key of its own and so ends no peel.
+the y window, not on the table, so they are gathered once per call, from
+y's occurrence tables (match_index.occurrence_bounds), into one row per x
+start, with the row offset of start i + 1 added; a start whose symbol is
+not paired reads the zero column and gains 0. Each x length then finds its
+equal-ended starts by comparing x's symbol keys with their shift by
+x_len - 1; every unpaired start holds a key of its own, so ends no peel.
 
 Step 3 is the y-side drops unrolled: following them from (k, l) reaches
 every y window inside it, so the recurrence's value is the maximum, over
@@ -56,6 +56,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import CapacityExceeded, CpsResult, assemble_result
+from .match_index import build_match_set, occurrence_bounds
 
 DEFAULT_CELL_CAP = 2**26
 
@@ -115,28 +116,21 @@ def fill_table(x: bytes, y: bytes, max_cells: int = DEFAULT_CELL_CAP) -> DpTable
     windows = m * (m + 1) // 2  # column `windows` of every start is the zero cell
     width = windows + 1
     planes = np.zeros((n + 1, n, width), dtype=np.uint8 if min(n, m) < 256 else np.uint16)
-    xs = np.frombuffer(x, dtype=np.uint8)
-    in_x = np.bincount(xs, minlength=256)
-    in_y = np.bincount(np.frombuffer(y, dtype=np.uint8), minlength=256)
-    symbols = np.flatnonzero(in_x)  # x's octets, ascending
-    at = symbols[:, None] == np.frombuffer(y, dtype=np.uint8)
-    pos = np.arange(m)
-    # nxt[s, k]: first occurrence of symbols[s] at or after k (m if none);
-    # prv[s, l]: last occurrence at or before l (-1 if none).
-    nxt = np.minimum.accumulate(np.where(at, pos, m)[:, ::-1], axis=1)[:, ::-1]
-    prv = np.maximum.accumulate(np.where(at, pos, -1), axis=1)
+    ms = build_match_set(x, y)
+    symbols = np.flatnonzero(ms.x_count)  # x's octets, ascending
+    nxt, prv = occurrence_bounds(ms.y, symbols)
     # column w is the y window (k[w], l[w]): row k of the triangle holds m - k windows
-    k = np.repeat(pos, pos[::-1] + 1)
+    k = np.repeat(np.arange(m), np.arange(m, 0, -1))
     l = np.arange(windows) - k * (2 * m - k - 1) // 2
     # The x_len = 1 plane: x[i] occurs in y[k..l] exactly when nxt[x[i]][k] <= l.
-    sym = np.searchsorted(symbols, xs)  # x[i] == symbols[sym[i]]
+    sym = np.searchsorted(symbols, ms.x)  # x[i] == symbols[sym[i]]
     planes[1:2, :, :windows] = (nxt.take(k, axis=1) <= l).take(sym, axis=0)
     # Only symbols that both inputs hold twice can end a peel. Per such symbol
     # and y window: the column of the tightest pair's inner window (a, b), or
     # the zero column where it is empty or there is no pair, and the gain, 2
     # where the window holds a pair and 0 where it does not. The last row, the
     # zero column and no gain, stands for every other symbol.
-    paired = (in_x >= 2) & (in_y >= 2)  # by octet
+    paired = (ms.x_count >= 2) & (ms.y_count >= 2)  # by octet
     held = np.searchsorted(symbols, np.flatnonzero(paired))  # their rows of nxt and prv
     a = nxt.take(held, axis=0).take(k, axis=1) + 1
     b = prv.take(held, axis=0).take(l, axis=1) - 1
@@ -148,7 +142,7 @@ def fill_table(x: bytes, y: bytes, max_cells: int = DEFAULT_CELL_CAP) -> DpTable
     del a, b
     slot = np.full(256, len(held))
     slot[paired] = np.arange(len(held))
-    row = slot.take(xs)  # start i's row of inner and gain
+    row = slot.take(ms.x)  # start i's row of inner and gain
     # Per start i: where its peel reads in the flat plane x_len - 2 (row i + 1,
     # at the inner window's column) and what it gains.
     peel_at = inner.take(row, axis=0)

@@ -2,10 +2,10 @@
 
 A match is a position pair (i, j) with x[i] == y[j] (1-based). Matches are
 never listed, since their count can be quadratic in the input lengths: each
-input is kept as its uint8 codes, with one occurrence count per each of the
-256 symbols. A symbol's matches are the cross product of its x_s positions
-in x and its y_s positions in y; per_sigma gives only their count x_s * y_s.
-Only geometry.rect_columns groups positions by symbol.
+input is kept as its uint8 codes and its 256 symbol counts. A symbol's
+matches are the x_s * y_s pairs of its positions in x and in y; per_sigma
+gives only that count. geometry.rect_columns alone groups positions by
+symbol; occurrence_bounds builds the occurrence tables of dp_solver.fill_table.
 """
 
 from __future__ import annotations
@@ -13,6 +13,8 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
+
+COUNT_SLICE = 1 << 16  # codes per bincount call, which copies them to int64
 
 
 class Match(NamedTuple):
@@ -57,14 +59,28 @@ def build_match_set(x: bytes, y: bytes) -> MatchSet:
     """View both inputs as codes, without a copy, and count their symbols.
 
     Sorts nothing and stores 256 counts per input beyond views of the
-    inputs; matches are never materialized, so no input is too large here.
+    inputs; counting COUNT_SLICE codes at a time and never materializing
+    matches, it takes no input as too large.
     The geometric solver's rectangle cap, checked against the exact count
     before any position is sorted, bounds what comes after.
     """
     arrays = []
     for s in (x, y):
         codes = np.frombuffer(s, dtype=np.uint8)
-        arrays += (codes, np.bincount(codes, minlength=256))
+        count = np.bincount(codes[:COUNT_SLICE], minlength=256)
+        for p in range(COUNT_SLICE, len(codes), COUNT_SLICE):
+            count += np.bincount(codes[p : p + COUNT_SLICE], minlength=256)
+        arrays += (codes, count)
     for a in arrays:
         a.setflags(write=False)
     return MatchSet(*arrays)
+
+
+def occurrence_bounds(codes: np.ndarray, symbols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """nxt[s, p] and prv[s, p]: the first occurrence of symbols[s] in codes at or
+    after p (len(codes) if none) and the last at or before p (-1 if none)."""
+    at = symbols[:, None] == codes
+    pos = np.arange(len(codes))
+    nxt = np.minimum.accumulate(np.where(at, pos, len(codes))[:, ::-1], axis=1)[:, ::-1]
+    prv = np.maximum.accumulate(np.where(at, pos, -1), axis=1)
+    return nxt, prv

@@ -412,9 +412,10 @@ def test_geom_keeps_one_copy_of_its_points():
 
 def test_geometric_declines_before_sorting_positions():
     # random ACGT against ACGT: P = 2 000 000 degenerates, over the cap. The
-    # cap is checked on the symbol counts, before any position is sorted, so
-    # the peak is bincount's int64 copy of x (12 B per character when both
-    # inputs' positions were sorted first)
+    # cap is checked on the symbol counts, before any position is sorted, and
+    # x is counted one slice at a time, so the peak is one slice's int64 copy
+    # (8 B per character when x was counted at once, 12 B when both inputs'
+    # positions were sorted first)
     x = random.Random(1).randbytes(2_000_000).translate(b"ACGT" * 64)
     tracemalloc.start()
     try:

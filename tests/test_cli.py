@@ -110,8 +110,9 @@ def test_capacity_exhausted_everywhere_is_exit_4(capsys):
 
 def test_over_cap_file_declines_at_a_small_peak(capsys, tmp_path):
     # 2 000 000 random ACGT characters against ACGT: geom and dp both decline
-    # on counts, so beyond the file's bytes only bincount's int64 copy of
-    # them is built (17 B per character when positions were sorted first)
+    # on counts, so beyond the file's bytes only one count slice's int64 copy
+    # is built (9 B per character when the whole file was counted at once,
+    # 17 B when positions were sorted first)
     path = tmp_path / "x.txt"
     path.write_bytes(random.Random(1).randbytes(2_000_000).translate(b"ACGT" * 64))
     tracemalloc.start()

@@ -1,11 +1,12 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import random_pair
 from lcps.geometry import enumerate_rectangles, rect_columns, rect_count
-from lcps.match_index import Match, build_match_set
+from lcps.match_index import Match, build_match_set, occurrence_bounds
 
 
 def occurrences(x, y):
@@ -139,3 +140,55 @@ def test_match_set_is_read_only():
     for arr in ms:
         with pytest.raises(ValueError):
             arr[:1] = 7
+
+
+def test_match_set_counts_a_long_input_at_a_small_peak():
+    # 4 000 000 random ACGT characters span 62 count slices, the last one
+    # partial; counting the whole input at once copies it to int64 (32 MB)
+    x = random.Random(1).randbytes(4_000_000).translate(b"ACGT" * 64)
+    tracemalloc.start()
+    try:
+        ms = build_match_set(x, b"ACGT")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert ms.x_count.tolist() == [x.count(s) for s in range(256)]
+    assert ms.r == len(x)
+
+
+def scanned_bounds(seq, sym):
+    """occurrence_bounds' two rows for one symbol, by a plain scan."""
+    n = len(seq)
+    nxt = [next((q for q in range(p, n) if seq[q] == sym), n) for p in range(n)]
+    prv = [next((q for q in range(p, -1, -1) if seq[q] == sym), -1) for p in range(n)]
+    return nxt, prv
+
+
+@pytest.mark.parametrize("sigma", [1, 2, 4, 256])
+def test_occurrence_bounds_match_a_scan(sigma):
+    rng = random.Random(sigma)
+    for n in range(41):
+        seq = bytes(rng.choices(range(sigma), k=n))
+        codes = np.frombuffer(seq, dtype=np.uint8)
+        # every symbol of the alphabet, some absent from a short seq, and one
+        # outside the alphabet where it has fewer than 256 symbols
+        symbols = np.arange(min(sigma + 1, 256))
+        nxt, prv = occurrence_bounds(codes, symbols)
+        assert nxt.shape == prv.shape == (len(symbols), n)
+        for s, sym in enumerate(symbols.tolist()):
+            assert (nxt[s].tolist(), prv[s].tolist()) == scanned_bounds(seq, sym)
+            if sym not in seq:
+                assert set(nxt[s].tolist()) <= {n} and set(prv[s].tolist()) <= {-1}
+
+
+def test_occurrence_bounds_over_both_sides_of_a_match_set():
+    ms = build_match_set(b"abcab", b"bba")
+    symbols = np.flatnonzero((ms.x_count > 0) & (ms.y_count > 0))  # a and b, not c
+    assert symbols.tolist() == [ord("a"), ord("b")]
+    for seq, codes in ((b"abcab", ms.x), (b"bba", ms.y)):
+        nxt, prv = occurrence_bounds(codes, symbols)
+        for s, sym in enumerate(symbols.tolist()):
+            assert (nxt[s].tolist(), prv[s].tolist()) == scanned_bounds(seq, sym)
+    nxt, prv = occurrence_bounds(build_match_set(b"", b"a").x, np.arange(2))
+    assert nxt.shape == prv.shape == (2, 0)
