@@ -34,6 +34,11 @@ python -c "import random, sys; r = random.Random(1); s = ''.join(r.choices('acgt
 timeout 60 python -m lcps solve --fasta --format json --x-file "$RUNNER_TEMP/crlf.fa" -y ACGT
 # geom at its densest square under the default rectangle cap: n = m = 80 over 2 symbols, P = 1 223 120
 timeout 120 python -c "from lcps import GenSpec, generate; from lcps.cli import main; x, y = generate(GenSpec(80, 80, 2, 1)); raise SystemExit(main(['solve', '--algo', 'geom', '--format', 'json', '-x=' + x.decode('latin-1'), '-y=' + y.decode('latin-1')]))"
+# x = y = the 40 letters A-Z and a-n, then their reverse: dp is inside its cell
+# cap at n = m = 80, geom settles its one block of 41 groups by the in-order
+# pass, and a disagreement exits 5
+nested=ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnnmlkjihgfedcbaZYXWVUTSRQPONMLKJIHGFEDCBA
+timeout 60 python -m lcps compare -x "$nested" -y "$nested"
 # writes a 5 000 000-character ACGT file
 python -c "import random, sys; open(sys.argv[1], 'wb').write(random.Random(1).randbytes(5000000).translate(b'ACGT' * 64))" "$RUNNER_TEMP/acgt.txt"
 # that ACGT file against ACGT: solve declines on both solvers' caps, exit 4

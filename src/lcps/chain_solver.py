@@ -17,6 +17,18 @@ receivers it feeds. Each feed is a static strict 3-D dominance maximum,
 answered by median splits on the first coordinate (leaving a 2-D problem)
 and on the second (leaving a 1-D one, solved by a sort and running
 maxima), with small pairs of sets compared directly.
+A range of groups whose points times receivers fit in BROADCAST_CELLS is
+not split but settled in place as one block: one strict 4-D hit matrix of
+its points against its receivers, then broadcast rounds in which every
+receiver takes its weight plus the larger of its feeds from before the
+block and its hits' values, until a round changes nothing. A block still
+unsettled after BLOCK_ROUNDS rounds gets one pass over its groups in sweep
+order, each group reading the final values of the ones before it. Blocks
+cost a few broadcasts where the recursion made one feed per group. Each
+way of settling wins where the other loses: on sparse input most blocks
+settle in two to four whole-block rounds, cheaper than the pass's
+operation per group; on deep nesting no round settles, and the cap bounds
+what the rounds waste before the pass.
 Everything runs on numpy rows of one (5, P) point array, in the layout,
 dtype and sweep order rect_columns builds. chain_values gathers the
 receivers' coordinates once, in sweep order, so every feed reads and
@@ -45,7 +57,11 @@ from .match_index import build_match_set
 
 # A left and a right point set with at most this many pairs between them are
 # compared pair by pair in one broadcast; larger ones are split at a median.
+# The same bound on points times receivers makes a range of groups one block
+# of chain_values, which runs at most BLOCK_ROUNDS broadcast rounds over it
+# before its in-order pass.
 BROADCAST_CELLS = 1 << 16
+BLOCK_ROUNDS = 4
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,7 +179,11 @@ def chain_values(cols: np.ndarray) -> np.ndarray:
     coordinates are gathered once, in sweep order, so a group's receivers
     are one contiguous range of them. The divide and conquer splits at the
     middle group boundary, so its depth is log2 of the number of distinct
-    receiver d values.
+    receiver d values, until a range's points times receivers fit in
+    BROADCAST_CELLS. Such a block is settled by a strict 4-D hit matrix
+    (its last group's points and first group's receivers left out, as no
+    pair there can hit): at most BLOCK_ROUNDS rounds of broadcast maxima,
+    and, if they leave it unsettled, one pass over its groups in sweep order.
     """
     a, b, c, d, w = cols
     if not w.size:
@@ -173,7 +193,7 @@ def chain_values(cols: np.ndarray) -> np.ndarray:
     starts = runs[np.logical_or.reduceat(receiver, runs)]
     bounds = sorted({0, *starts.tolist(), len(d)})
     at = np.flatnonzero(receiver).astype(np.int32)  # the receivers, in sweep order
-    ra, rb, rc, rw = a[at], b[at], c[at], w[at]
+    ra, rb, rc, rd, rw = (k[at] for k in cols)
     first = np.searchsorted(at, bounds).tolist()  # each group's first receiver
     inner = np.zeros_like(rw)
     value = w.copy()
@@ -181,13 +201,31 @@ def chain_values(cols: np.ndarray) -> np.ndarray:
     def solve(g0: int, g1: int) -> None:
         if g1 - g0 < 2:
             return
+        lo, hi, r0, r1 = bounds[g0], bounds[g1], first[g0], first[g1]
+        if (hi - lo) * (r1 - r0) <= BROADCAST_CELLS:
+            # the last group's points dominate no receiver of the block, and
+            # no point of the block dominates the first group's receivers
+            hi, r0 = bounds[g1 - 1], first[g0 + 1]
+            hit = a[lo:hi, None] > ra[r0:r1]
+            for k, rk in ((b, rb), (c, rc), (d, rd)):
+                hit &= k[lo:hi, None] > rk[r0:r1]
+            for _ in range(BLOCK_ROUNDS):
+                fed = rw[r0:r1] + np.maximum(inner[r0:r1], (hit * value[lo:hi, None]).max(0))
+                if np.array_equal(fed, value[at[r0:r1]]):
+                    return
+                value[at[r0:r1]] = fed
+            for g in range(g0 + 1, g1):  # in sweep order, so earlier groups are final
+                top, s0, s1 = bounds[g], first[g], first[g + 1]
+                fed = (hit[:top - lo, s0 - r0:s1 - r0] * value[lo:top, None]).max(0)
+                value[at[s0:s1]] = rw[s0:s1] + np.maximum(inner[s0:s1], fed)
+            return
         gm = (g0 + g1) // 2
         solve(g0, gm)
-        lo, mid, r0, r1 = bounds[g0], bounds[gm], first[gm], first[g1]
+        mid, rm = bounds[gm], first[gm]
         fed = dominance_max((a[lo:mid], b[lo:mid], c[lo:mid]), value[lo:mid],
-                            (ra[r0:r1], rb[r0:r1], rc[r0:r1]))
-        np.maximum(inner[r0:r1], fed, out=inner[r0:r1])
-        value[at[r0:r1]] = rw[r0:r1] + inner[r0:r1]
+                            (ra[rm:r1], rb[rm:r1], rc[rm:r1]))
+        np.maximum(inner[rm:r1], fed, out=inner[rm:r1])
+        value[at[rm:r1]] = rw[rm:r1] + inner[rm:r1]
         solve(gm, g1)
 
     solve(0, len(bounds) - 1)

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from pathlib import Path
+from typing import BinaryIO
 
 from .bench import SOLVERS, GenSpec, SolverDisagreement, check_runs, run_solver, run_suite
 from .core import CapacityExceeded, InputTooLarge, InvalidWitness
@@ -139,11 +140,35 @@ def parse_fasta(data: bytes) -> bytes:
     return joined.translate(None, b" \t\r\n\v\f").upper()
 
 
+def read_stripped(f: BinaryIO) -> bytes:
+    """A binary file's bytes less one trailing \\n or \\r\\n. A seekable file
+    is measured first and only the bytes kept are read, so they are the one
+    copy. A stream, or a file whose size from a seek to its end proves wrong
+    (pseudo-files under /proc and /sys), is read whole, then sliced."""
+    try:
+        size = f.seek(0, os.SEEK_END)
+        f.seek(max(size - 2, 0))
+        tail = f.read()
+        f.seek(0)
+    except OSError:  # a pipe, or a pseudo-file that refuses a seek from its end
+        size, tail = -1, b""
+    if len(tail) == min(size, 2):  # the file ends where its size says
+        end = b"\r\n" if tail == b"\r\n" else b"\n" if tail.endswith(b"\n") else b""
+        data = f.read(size - len(end))
+        if len(data) == size - len(end) and f.read(len(end) + 1) == end:
+            return data
+        del data
+        f.seek(0)
+    data = f.read()
+    return data[:-2] if data.endswith(b"\r\n") else data.removesuffix(b"\n")
+
+
 def read_input(source: str, *, is_file: bool, fasta: bool) -> bytes:
     """One sequence from a literal or a file; empty input is fine."""
     if is_file:
         try:
-            data = Path(source).read_bytes()
+            with open(source, "rb") as f:
+                data = read_stripped(f)
         except OSError as exc:
             raise IoError(str(exc)) from exc
     else:
@@ -151,11 +176,7 @@ def read_input(source: str, *, is_file: bool, fasta: bool) -> bytes:
             data = source.encode("latin-1")
         except UnicodeEncodeError as exc:
             raise UsageError("literals must consist of single-byte characters") from exc
-    if fasta:
-        return parse_fasta(data)
-    if is_file:
-        return data[:-2] if data.endswith(b"\r\n") else data.removesuffix(b"\n")
-    return data
+    return parse_fasta(data) if fasta else data
 
 
 def _load_inputs(args: argparse.Namespace) -> tuple[bytes, bytes]:

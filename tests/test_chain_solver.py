@@ -197,11 +197,23 @@ def tied_points(rng, count):
     return pts
 
 
-@pytest.mark.parametrize("cutoff", [0, 1, chain_solver.BROADCAST_CELLS])
-def test_longest_chain_matches_pairwise_dp_under_ties(monkeypatch, cutoff):
+# (BROADCAST_CELLS, BLOCK_ROUNDS): cutoffs 0 and 1 form no block of groups;
+# at the default cutoff, 0 rounds leave every block to the in-order pass, 1
+# round leaves to it every block with a chain inside, and 1 << 16 rounds
+# settle every block without it. Default rounds keep the cutoff alone as the id.
+CUTOFF_ROUNDS = (
+    [pytest.param(c, chain_solver.BLOCK_ROUNDS, id=str(c))
+     for c in (0, 1, chain_solver.BROADCAST_CELLS)]
+    + [pytest.param(chain_solver.BROADCAST_CELLS, r, id=f"{chain_solver.BROADCAST_CELLS}-rounds{r}")
+       for r in (0, 1, 1 << 16)])
+
+
+@pytest.mark.parametrize("cutoff, rounds", CUTOFF_ROUNDS)
+def test_longest_chain_matches_pairwise_dp_under_ties(monkeypatch, cutoff, rounds):
     # Cutoffs 0 and 1 send even tiny sets through the median splits and
     # the one-coordinate sort.
     monkeypatch.setattr(chain_solver, "BROADCAST_CELLS", cutoff)
+    monkeypatch.setattr(chain_solver, "BLOCK_ROUNDS", rounds)
     rng = random.Random(4141)
     for _ in range(80):
         pts = tied_points(rng, rng.randint(0, 60)) + random_points(rng, rng.randint(0, 20), hi=5)
@@ -256,12 +268,13 @@ CUT_CASES = [(b"abba", b"abab"), (b"abc", b"cba"), (b"a", b"a" * 9), (b"a" * 9, 
              (b"a" * 12, b"aa"), (b"aa", b"a" * 12), (b"a" * 6, b"a" * 5), (b"aab", b"abaa")]
 
 
-@pytest.mark.parametrize("cutoff", [0, 1, chain_solver.BROADCAST_CELLS])
-def test_chain_values_on_rectangle_points_match_pairwise_dp(monkeypatch, cutoff):
+@pytest.mark.parametrize("cutoff, rounds", CUTOFF_ROUNDS)
+def test_chain_values_on_rectangle_points_match_pairwise_dp(monkeypatch, cutoff, rounds):
     # Only points below the largest a + c receive feeds (in rect_columns'
     # points, the strict pairs), and groups are cut only where a receiver's
     # d starts; every point's value must still be the pairwise one.
     monkeypatch.setattr(chain_solver, "BROADCAST_CELLS", cutoff)
+    monkeypatch.setattr(chain_solver, "BLOCK_ROUNDS", rounds)
     rng = random.Random(1812)
     cases = CUT_CASES + [random_pair(rng, max_len=14) for _ in range(60)]
     leading = only_degenerates = 0
@@ -317,6 +330,35 @@ def test_chain_sweep_feeds_fewer_times_than_there_are_distinct_d(monkeypatch):
     r = geometric_lcps(x, y)
     assert validate_witness(r, x, y)
     assert len(calls) < distinct_d
+
+
+@pytest.mark.parametrize("k", [40, 120])
+def test_nested_palindromes_settle_by_the_in_order_pass(k):
+    # x = y = s + reverse(s) over k distinct octets: the longest chain nests
+    # through every group, so no block of groups settles within BLOCK_ROUNDS
+    # rounds (one block of 41 groups at k = 40, two of 60 and 61 at k = 120)
+    # and the in-order pass gives the values
+    s = bytes(random.Random(k).sample(range(256), k))
+    x = s + s[::-1]
+    cols = rect_columns(build_match_set(x, x))
+    assert chain_solver.chain_values(cols).tolist() == pairwise_chain_values(cols)
+    r = geometric_lcps(x, x)
+    assert r.length == 2 * k and validate_witness(r, x, x)
+
+
+def test_chain_sweep_settles_small_blocks_of_groups_in_place(monkeypatch):
+    # At sparse-geom's shape the 247 groups end in 13 blocks of 15 to 31
+    # groups whose points times receivers fit in BROADCAST_CELLS; they are
+    # settled in place, so the sweep makes 84 dominance_max calls, median
+    # splits included (318 when every pair of halves was fed by one)
+    x, y = generate(GenSpec(600, 600, 256, 1))
+    calls = []
+    feed = chain_solver.dominance_max
+    monkeypatch.setattr(chain_solver, "dominance_max",
+                        lambda *args: calls.append(1) or feed(*args))
+    r = geometric_lcps(x, y)
+    assert validate_witness(r, x, y)
+    assert len(calls) <= 100
 
 
 def test_chain_traceback_is_sound():

@@ -1,4 +1,7 @@
+import errno
+import io
 import json
+import os
 import random
 import tracemalloc
 
@@ -141,6 +144,74 @@ def test_plain_file_strips_one_trailing_newline(capsys, tmp_path):
                        "--format", "json")
     assert code == 0
     assert json.loads(out)["x_len"] == 3
+
+
+@pytest.mark.parametrize("ending", [b"", b"\n", b"\r\n"], ids=["none", "lf", "crlf"])
+def test_file_input_is_read_in_one_copy(tmp_path, ending):
+    # 5 000 000 characters: the stripped bytes are read once, at their own
+    # size (2 B per character when a line end was sliced off a first copy)
+    body = random.Random(1).randbytes(5_000_000).translate(b"ACGT" * 64)
+    path = tmp_path / "x.txt"
+    path.write_bytes(body + ending)
+    tracemalloc.start()
+    try:
+        data = cli.read_input(str(path), is_file=True, fasta=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert data == body
+    assert peak <= 1.1 * len(body)
+
+
+@pytest.mark.parametrize("raw, kept", [(b"", b""), (b"\n", b""), (b"\r\n", b""), (b"a\n\n", b"a\n"),
+                                       (b"ab\r\n", b"ab"), (b"ab\r", b"ab\r"), (b"a\nb", b"a\nb")])
+def test_one_line_end_is_stripped_from_files_and_streams(tmp_path, raw, kept):
+    path = tmp_path / "x.txt"
+    path.write_bytes(raw)
+    assert cli.read_input(str(path), is_file=True, fasta=False) == kept
+    r, w = os.pipe()  # a stream: not seekable, so read whole
+    os.write(w, raw)
+    os.close(w)
+    with open(r, "rb") as f:
+        assert not f.seekable()
+        assert cli.read_stripped(f) == kept
+
+
+class MisreportedSize(io.BytesIO):
+    """A seekable file whose seek to its end reports `size`, or refuses
+    when `size` is None, as pseudo-files under /proc and /sys do."""
+
+    def __init__(self, data, size):
+        super().__init__(data)
+        self.size = size
+
+    def seek(self, pos, whence=os.SEEK_SET):
+        if whence != os.SEEK_END:
+            return super().seek(pos, whence)
+        if self.size is None:
+            raise OSError(errno.EINVAL, "Invalid argument")
+        return super().seek(self.size)
+
+
+@pytest.mark.parametrize("raw", [b"", b"\n", b"ab\r\n", b"a\nbcdef"])
+@pytest.mark.parametrize("shift", [None, "zero", -3, -1, 1, 4096])
+def test_file_of_misreported_size_is_read_whole(raw, shift):
+    # a refused seek, a size of 0 (procfs), a size too small or too large
+    # (sysfs reports 4096): the whole content is read, then one line end cut
+    size = None if shift is None else 0 if shift == "zero" else max(len(raw) + shift, 0)
+    kept = raw[:-2] if raw.endswith(b"\r\n") else raw.removesuffix(b"\n")
+    assert cli.read_stripped(MisreportedSize(raw, size)) == kept
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/version"), reason="no procfs")
+def test_procfs_files_are_read_whole():
+    # /proc/version refuses a seek from its end; /proc/self/cmdline reports size 0
+    for path in ("/proc/version", "/proc/self/cmdline"):
+        with open(path, "rb") as f:
+            whole = f.read()
+        got = cli.read_input(path, is_file=True, fasta=False)
+        assert got == (whole[:-2] if whole.endswith(b"\r\n") else whole.removesuffix(b"\n"))
+        assert len(got) >= len(whole) - 2 > 0
 
 
 def test_fasta_file(capsys, tmp_path):
