@@ -32,6 +32,8 @@ timeout 60 python -m lcps solve --algo geom --format json -x "$(python -c 'print
 python -c "import random, sys; r = random.Random(1); s = ''.join(r.choices('acgt', k=200000)).encode(); open(sys.argv[1], 'wb').write(b'>r1\r\n' + b''.join(s[i:i + 60] + b'\r\n' for i in range(0, len(s), 60)))" "$RUNNER_TEMP/crlf.fa"
 # that FASTA file against ACGT: P = 200 000 degenerates on int32 points
 timeout 60 python -m lcps solve --fasta --format json --x-file "$RUNNER_TEMP/crlf.fa" -y ACGT
+# the same FASTA file through a pipe: read whole from /dev/stdin, same answer
+cat "$RUNNER_TEMP/crlf.fa" | timeout 60 python -m lcps solve --fasta --format json --x-file /dev/stdin -y ACGT
 # geom at its densest square under the default rectangle cap: n = m = 80 over 2 symbols, P = 1 223 120
 timeout 120 python -c "from lcps import GenSpec, generate; from lcps.cli import main; x, y = generate(GenSpec(80, 80, 2, 1)); raise SystemExit(main(['solve', '--algo', 'geom', '--format', 'json', '-x=' + x.decode('latin-1'), '-y=' + y.decode('latin-1')]))"
 # x = y = the 40 letters A-Z and a-n, then their reverse: dp is inside its cell
@@ -45,3 +47,5 @@ python -c "import random, sys; open(sys.argv[1], 'wb').write(random.Random(1).ra
 rc=0; timeout 60 python -m lcps solve --x-file "$RUNNER_TEMP/acgt.txt" -y ACGT || rc=$?; test "$rc" -eq 4
 # that ACGT file against ACGT: matches counts it, exit 0
 timeout 60 python -m lcps matches --x-file "$RUNNER_TEMP/acgt.txt" -y ACGT
+# that ACGT file through a pipe: matches counts it from /dev/stdin, exit 0
+cat "$RUNNER_TEMP/acgt.txt" | timeout 60 python -m lcps matches --x-file /dev/stdin -y ACGT

@@ -11,8 +11,9 @@ an invalid witness from solve, compare or bench.
 from __future__ import annotations
 
 import argparse
+import io
 import json
-import os
+import re
 import sys
 from typing import BinaryIO
 
@@ -126,41 +127,29 @@ def parse_args(argv: list[str] | None) -> argparse.Namespace:
 
 def parse_fasta(data: bytes) -> bytes:
     """First record's sequence: header lines start with '>', whitespace is
-    dropped, ASCII letters are uppercased."""
-    seen_header = False
-    lines = []
-    for line in data.splitlines():
-        if line.startswith(b">"):
-            if seen_header:
-                break
-            seen_header = True
-        else:
-            lines.append(line)
-    joined = b"".join(lines)
-    return joined.translate(None, b" \t\r\n\v\f").upper()
+    dropped, ASCII letters are uppercased. Lines end at \\n, \\r or \\r\\n,
+    as in bytes.splitlines; any text before the first header is kept."""
+    headers = re.finditer(rb"(?<![^\r\n])>[^\r\n]*", data)
+    first = next(headers, None)
+    if first is not None:
+        second = next(headers, None)
+        data = data[:first.start()] + data[first.end():second.start() if second else len(data)]
+    upper = bytes.maketrans(b"abcdefghijklmnopqrstuvwxyz", b"ABCDEFGHIJKLMNOPQRSTUVWXYZ")
+    return data.translate(upper, b" \t\r\n\v\f")
 
 
 def read_stripped(f: BinaryIO) -> bytes:
-    """A binary file's bytes less one trailing \\n or \\r\\n. A seekable file
-    is measured first and only the bytes kept are read, so they are the one
-    copy. A stream, or a file whose size from a seek to its end proves wrong
-    (pseudo-files under /proc and /sys), is read whole, then sliced."""
-    try:
-        size = f.seek(0, os.SEEK_END)
-        f.seek(max(size - 2, 0))
-        tail = f.read()
-        f.seek(0)
-    except OSError:  # a pipe, or a pseudo-file that refuses a seek from its end
-        size, tail = -1, b""
-    if len(tail) == min(size, 2):  # the file ends where its size says
-        end = b"\r\n" if tail == b"\r\n" else b"\n" if tail.endswith(b"\n") else b""
-        data = f.read(size - len(end))
-        if len(data) == size - len(end) and f.read(len(end) + 1) == end:
-            return data
-        del data
-        f.seek(0)
+    """A binary file's bytes less one trailing \\n or \\r\\n, read whole in one
+    pass: no seek, and no trust in a reported size. CPython's BytesIO shares
+    the bytes it is given, and once nothing else holds them truncate and
+    getvalue shrink them in place, so files, pipes and pseudo-files all come
+    back as the one copy that was read."""
     data = f.read()
-    return data[:-2] if data.endswith(b"\r\n") else data.removesuffix(b"\n")
+    kept = len(data) - (2 if data.endswith(b"\r\n") else data.endswith(b"\n"))
+    buf = io.BytesIO(data)
+    del data
+    buf.truncate(kept)
+    return buf.getvalue()
 
 
 def read_input(source: str, *, is_file: bool, fasta: bool) -> bytes:

@@ -3,15 +3,19 @@ import io
 import json
 import os
 import random
+import subprocess
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
 
 import lcps.chain_solver as chain_solver
 import lcps.cli as cli
 import lcps.dp_solver as dp_solver
 from lcps.bench import GenSpec, generate
 from lcps.core import CpsResult
+
+from conftest import byte_seqs
 
 
 def run(capsys, *argv):
@@ -146,19 +150,29 @@ def test_plain_file_strips_one_trailing_newline(capsys, tmp_path):
     assert json.loads(out)["x_len"] == 3
 
 
-@pytest.mark.parametrize("ending", [b"", b"\n", b"\r\n"], ids=["none", "lf", "crlf"])
-def test_file_input_is_read_in_one_copy(tmp_path, ending):
+@pytest.mark.parametrize("ending, source", [(b"", "file"), (b"\n", "file"), (b"\r\n", "file"),
+                                            (b"", "pipe"), (b"\n", "pipe"), (b"\r\n", "pipe")],
+                         ids=["none", "lf", "crlf", "none-pipe", "lf-pipe", "crlf-pipe"])
+def test_file_input_is_read_in_one_copy(tmp_path, ending, source):
     # 5 000 000 characters: the stripped bytes are read once, at their own
-    # size (2 B per character when a line end was sliced off a first copy)
+    # size (2 B per character when a line end was sliced off a first copy).
+    # The pipe is fed by cat, since 5 MB does not fit a pipe's buffer.
     body = random.Random(1).randbytes(5_000_000).translate(b"ACGT" * 64)
     path = tmp_path / "x.txt"
     path.write_bytes(body + ending)
+    proc = subprocess.Popen(["cat", str(path)], stdout=subprocess.PIPE) if source == "pipe" else None
     tracemalloc.start()
     try:
-        data = cli.read_input(str(path), is_file=True, fasta=False)
+        if proc is None:
+            data = cli.read_input(str(path), is_file=True, fasta=False)
+        else:
+            data = cli.read_stripped(proc.stdout)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+        if proc is not None:
+            proc.stdout.close()
+            proc.wait()
     assert data == body
     assert peak <= 1.1 * len(body)
 
@@ -169,7 +183,7 @@ def test_one_line_end_is_stripped_from_files_and_streams(tmp_path, raw, kept):
     path = tmp_path / "x.txt"
     path.write_bytes(raw)
     assert cli.read_input(str(path), is_file=True, fasta=False) == kept
-    r, w = os.pipe()  # a stream: not seekable, so read whole
+    r, w = os.pipe()  # a stream, read as a file is: whole, in one pass
     os.write(w, raw)
     os.close(w)
     with open(r, "rb") as f:
@@ -230,6 +244,43 @@ def test_fasta_first_record_only():
     assert cli.parse_fasta(b">one\naaa\n>two\nccc\n") == b"AAA"
     assert cli.parse_fasta(b">h\r\na c\tg\r\nt\r\n") == b"ACGT"
     assert cli.parse_fasta(b">h\na\vc\fg\xe9t\n") == b"ACG\xe9T"
+
+
+def fasta_by_lines(data):
+    """parse_fasta as a loop over bytes.splitlines, the reference."""
+    seen_header = False
+    lines = []
+    for line in data.splitlines():
+        if line.startswith(b">"):
+            if seen_header:
+                break
+            seen_header = True
+        else:
+            lines.append(line)
+    return b"".join(lines).translate(None, b" \t\r\n\v\f").upper()
+
+
+@settings(max_examples=500)
+@given(byte_seqs(b">\r\n \t\v\facgtACGT\xe9", max_size=40))
+def test_fasta_parse_matches_the_line_loop(data):
+    assert cli.parse_fasta(data) == fasta_by_lines(data)
+
+
+def test_fasta_file_is_parsed_at_a_small_peak(tmp_path):
+    # 5 000 000 characters in 60-column CRLF lines: the file's bytes, one
+    # slice of the record and the translated sequence (5.06 B per character
+    # when the record was split into a list of lines first)
+    body = random.Random(1).randbytes(5_000_000).translate(b"acgt" * 64)
+    path = tmp_path / "x.fa"
+    path.write_bytes(b">r1\r\n" + b"".join(body[i:i + 60] + b"\r\n" for i in range(0, len(body), 60)))
+    tracemalloc.start()
+    try:
+        data = cli.read_input(str(path), is_file=True, fasta=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert data == body.upper()
+    assert peak <= 3.3 * len(body)
 
 
 def test_compare_agreement(capsys):
